@@ -20,9 +20,11 @@ Scaling by hbar/(m a^2 omega0) = 8/3 gives the equations of motion
                   + cot(theta) dlogrho/dtheta / xi) / xi
 
 (all derivatives raw).  velocity_field computes these through the
-wavefield gradient routines; make_scalar_rhs builds an algebraically
-identical closed-form closure in plain floats for the integrator hot
-loop, and make_batch_rhs the numpy analogue for trajectory ensembles.
+wavefield gradient routines.  guidance_current writes the same algebra
+once in closed form, as the current rho v and the density, on Python
+floats or numpy arrays; make_scalar_rhs (the integrator hot loop),
+make_batch_rhs (trajectory ensembles) and pauli_current all divide its
+output instead of repeating it.
 
 Two eigenstate limits anchor everything: a pure 1s state gives
 dphi/dtau = 8/(3 xi) and a pure 2p0 state gives 4/(3 xi), with
@@ -60,7 +62,16 @@ from .errors import (
     OffSheetError,
     ParameterError,
 )
-from .wavefield import BETA, N1, N2, RHO_FLOOR, SpatialPoint, grad_log_rho, grad_S
+from .wavefield import (
+    BETA,
+    N1,
+    N2,
+    RHO_FLOOR,
+    SpatialPoint,
+    _parts,
+    grad_log_rho,
+    grad_S,
+)
 
 # Axis guards: evaluation refuses points with sin(theta) below the hard
 # guard; trajectory starts should respect the (larger) initial guard.
@@ -224,7 +235,6 @@ def make_scalar_rhs(
     below the axis guard, so the integrator can abort cleanly.
     """
     sz = spin.s_z
-    F = VELOCITY_SCALE
 
     kind = getattr(source, "kind", None)
     if kind == "analytic":
@@ -243,7 +253,7 @@ def make_scalar_rhs(
             sw = math.sin(w)
             tp = -q * (rO * sh * cw + ch * sw)
             im = q * (rO * sh * sw - ch * cw)
-            return _rates(xi, theta, ca2, cb2, tp, im, sz, F)
+            return _rates(xi, theta, ca2, cb2, tp, im, sz)
 
         return rhs
 
@@ -261,7 +271,7 @@ def make_scalar_rhs(
             # c_a* c_b e^(-i tau) = (mr + i mi)(cw - i sw)
             tp = mr * cw + mi * sw
             im = mi * cw - mr * sw
-            return _rates(xi, theta, ca2, cb2, tp, im, sz, F)
+            return _rates(xi, theta, ca2, cb2, tp, im, sz)
 
         return rhs
 
@@ -276,34 +286,52 @@ def make_scalar_rhs(
         sw = math.sin(w)
         tp = m.real * cw + m.imag * sw
         im = m.imag * cw - m.real * sw
-        return _rates(xi, theta, ca2, cb2, tp, im, sz, F)
+        return _rates(xi, theta, ca2, cb2, tp, im, sz)
 
     return rhs
 
 
-def _rates(xi, theta, ca2, cb2, tp, im, sz, F):
-    """Core guidance algebra shared by every scalar closure."""
-    sn = math.sin(theta)
-    if sn < AXIS_GUARD:
-        raise AxisProximityError(
-            "sin(theta)=%.3e below the axis guard %.0e" % (sn, AXIS_GUARD)
-        )
-    ct = math.cos(theta)
-    ex1 = math.exp(-xi)
-    exh = math.exp(-0.5 * xi)
+def guidance_current(xp, xi, theta, sn, ca2, cb2, tp, im, sz):
+    """Current and density of the guidance law, before any division.
+
+    xp is the math module for Python floats or numpy for arrays; sn is
+    sin(theta), which every caller needs anyway for its axis handling.
+    ca2 = |c_a|^2, cb2 = |c_b|^2, tp + i im = c_a* c_b e^(-i tau) and sz
+    is the spin's z component.  Returns (rho dxi/dtau,
+    rho xi^2 dtheta/dtau, rho xi dphi/dtau, rho); no guard fires here.
+    """
+    ct = xp.cos(theta)
+    ex1 = xp.exp(-xi)
+    exh = xp.exp(-0.5 * xi)
     u1 = N1 * ex1
     b = N2 * xi * exh
     u2 = b * ct
     u2x = N2 * (1.0 - 0.5 * xi) * exh * ct
     u2t = -b * sn
-    rho = ca2 * u1 * u1 + cb2 * u2 * u2 + 2.0 * u1 * u2 * tp
-    fi = F * im * u1
-    dxi = fi * (u2x + u2) / rho
-    dtheta = fi * u2t / (xi * xi * rho)
-    drx = 2.0 * (-ca2 * u1 * u1 + cb2 * u2 * u2x + tp * u1 * (u2x - u2))
-    drt = 2.0 * u2t * (cb2 * u2 + tp * u1)
-    dphi = -F * sz * (drx + (ct / sn) * drt / xi) / (xi * rho)
-    return dxi, dtheta, dphi, rho
+    # Products that rho, drx and drt share, grouped as each expression
+    # groups them, so sharing them changes no rounding.
+    a11 = ca2 * u1 * u1
+    b2 = cb2 * u2
+    t1 = tp * u1
+    rho = a11 + b2 * u2 + 2.0 * u1 * u2 * tp
+    fi = VELOCITY_SCALE * im * u1
+    drx = 2.0 * (-a11 + b2 * u2x + t1 * (u2x - u2))
+    drt = 2.0 * u2t * (b2 + t1)
+    j_phi = -VELOCITY_SCALE * sz * (drx + (ct / sn) * drt / xi)
+    return fi * (u2x + u2), fi * u2t, j_phi, rho
+
+
+def _rates(xi, theta, ca2, cb2, tp, im, sz):
+    """Scalar rates (dxi, dtheta, dphi, rho) behind the axis guard."""
+    sn = math.sin(theta)
+    if sn < AXIS_GUARD:
+        raise AxisProximityError(
+            "sin(theta)=%.3e below the axis guard %.0e" % (sn, AXIS_GUARD)
+        )
+    j_xi, j_theta, j_phi, rho = guidance_current(
+        math, xi, theta, sn, ca2, cb2, tp, im, sz
+    )
+    return j_xi / rho, j_theta / (xi * xi * rho), j_phi / (xi * rho), rho
 
 
 def make_batch_rhs(source, *, spin: SpinVector = SPIN_UP):
@@ -315,7 +343,6 @@ def make_batch_rhs(source, *, spin: SpinVector = SPIN_UP):
     guard fires here.
     """
     sz = spin.s_z
-    F = VELOCITY_SCALE
     kind = getattr(source, "kind", None)
 
     if kind == "analytic":
@@ -361,25 +388,18 @@ def make_batch_rhs(source, *, spin: SpinVector = SPIN_UP):
             % (kind,)
         )
 
+    last = [np.empty(0), None]  # a copy of the last tau and its cross terms
+
     def rhs(tau, xi, theta):
-        ca2, cb2, tp, im = cross(tau)
-        sn = np.sin(theta)
-        ct = np.cos(theta)
-        ex1 = np.exp(-xi)
-        exh = np.exp(-0.5 * xi)
-        u1 = N1 * ex1
-        b = N2 * xi * exh
-        u2 = b * ct
-        u2x = N2 * (1.0 - 0.5 * xi) * exh * ct
-        u2t = -b * sn
-        rho = ca2 * u1 * u1 + cb2 * u2 * u2 + 2.0 * u1 * u2 * tp
-        fi = F * im * u1
-        dxi = fi * (u2x + u2) / rho
-        dtheta = fi * u2t / (xi * xi * rho)
-        drx = 2.0 * (-ca2 * u1 * u1 + cb2 * u2 * u2x + tp * u1 * (u2x - u2))
-        drt = 2.0 * u2t * (cb2 * u2 + tp * u1)
-        dphi = -F * sz * (drx + (ct / sn) * drt / xi) / (xi * rho)
-        return dxi, dtheta, dphi, rho
+        # A DP5 trial evaluates its last two stages at the same times;
+        # the second evaluation reuses the first one's cross terms.
+        if not np.array_equal(tau, last[0]):
+            last[0], last[1] = np.array(tau), cross(tau)
+        ca2, cb2, tp, im = last[1]
+        j_xi, j_theta, j_phi, rho = guidance_current(
+            np, xi, theta, np.sin(theta), ca2, cb2, tp, im, sz
+        )
+        return j_xi / rho, j_theta / (xi * xi * rho), j_phi / (xi * rho), rho
 
     return rhs
 
@@ -406,27 +426,15 @@ def pauli_current(
         raise AxisProximityError(
             "sin(theta)=%.3e below the axis guard %.0e" % (st, AXIS_GUARD)
         )
-    F = VELOCITY_SCALE
-    xi, theta = point.xi, point.theta
+    xi = point.xi
     ca, cb = coeffs.c_a, coeffs.c_b
     ca2 = ca.real * ca.real + ca.imag * ca.imag
     cb2 = cb.real * cb.real + cb.imag * cb.imag
     m = ca.conjugate() * cb * cmath.exp(-1j * reduce_angle(tau))
-    tp, im = m.real, m.imag
-    ct = math.cos(theta)
-    u1 = N1 * math.exp(-xi)
-    exh = math.exp(-0.5 * xi)
-    b = N2 * xi * exh
-    u2 = b * ct
-    u2x = N2 * (1.0 - 0.5 * xi) * exh * ct
-    u2t = -b * st
-    fi = F * im * u1
-    j_xi = fi * (u2x + u2)
-    j_theta = fi * u2t / (xi * xi)
-    drx = 2.0 * (-ca2 * u1 * u1 + cb2 * u2 * u2x + tp * u1 * (u2x - u2))
-    drt = 2.0 * u2t * (cb2 * u2 + tp * u1)
-    j_phi = -F * spin.s_z * (drx + (ct / st) * drt / xi) / xi
-    return j_xi, j_theta, j_phi
+    j_xi, j_theta, j_phi, _ = guidance_current(
+        math, xi, point.theta, st, ca2, cb2, m.real, m.imag, spin.s_z
+    )
+    return j_xi, j_theta / (xi * xi), j_phi / xi
 
 
 def continuity_defect(
@@ -449,7 +457,7 @@ def continuity_defect(
     residue, and the finite-difference continuity checks in the test
     suite assert against it.
     """
-    u1, u2, _, _ = _wave_parts(point.xi, point.theta)
+    u1, u2, _, _ = _parts(point.xi, point.theta)
     st = drive.sigma_t * tau
     slow_im = -0.5 * drive.ratio_nu * math.sin(st)
     cb2 = transition_probability_scalar(tau, drive)
@@ -458,16 +466,6 @@ def continuity_defect(
     return drive.nu_t * (
         slow_im * (u1 * u1 - u2 * u2) + u1 * u2 * (cb2 - ca2) * math.sin(w)
     )
-
-
-def _wave_parts(xi: float, theta: float):
-    ct = math.cos(theta)
-    u1 = N1 * math.exp(-xi)
-    exh = math.exp(-0.5 * xi)
-    u2 = N2 * xi * exh * ct
-    u2x = N2 * (1.0 - 0.5 * xi) * exh * ct
-    u2t = -N2 * xi * exh * math.sin(theta)
-    return u1, u2, u2x, u2t
 
 
 # ---------------------------------------------------------------------------
@@ -569,7 +567,7 @@ def printed_momentum_check(
 
     # Reconciled structures against the physical density pi rho.
     T = envelope_T(tau, drive)
-    u1, u2, u2x, u2t = _wave_parts(xi, theta)
+    u1, u2, u2x, u2t = _parts(xi, theta)
     tp = envelope_Tprime(tau, drive)
     rho = ca2 * u1 * u1 + cb2 * u2 * u2 + 2.0 * u1 * u2 * tp
     pi_rho = math.pi * rho

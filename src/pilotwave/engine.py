@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -25,50 +25,13 @@ from . import observables
 from .drive import DriveParameters, reversal_window
 from .dynamics import (
     SPIN_UP,
-    ScaledVelocity,
     SpinVector,
     make_scalar_rhs,
     surface_constant,
     surface_residual,
 )
 from .errors import AxisProximityError, IntegrationError, ParameterError
-from .stepping import (
-    A21,
-    A31,
-    A32,
-    A41,
-    A42,
-    A43,
-    A51,
-    A52,
-    A53,
-    A54,
-    A61,
-    A62,
-    A63,
-    A64,
-    A65,
-    B1,
-    B3,
-    B4,
-    B5,
-    B6,
-    C2,
-    C3,
-    C4,
-    C5,
-    E1,
-    E3,
-    E4,
-    E5,
-    E6,
-    E7,
-    MAX_FACTOR,
-    MIN_FACTOR,
-    PI_ALPHA,
-    PI_BETA,
-    SAFETY,
-)
+from .stepping import MAX_FACTOR, MIN_FACTOR, PI_ALPHA, PI_BETA, SAFETY, dp5_trial
 from .wavefield import SpatialPoint
 
 VERSION_TAG = "pilotwave 0.1.0"
@@ -119,20 +82,6 @@ class IntegratorConfig:
             "rho_floor": self.rho_floor,
             "output_stride": self.output_stride,
         }
-
-
-@dataclass(frozen=True)
-class TrajectorySample:
-    """One output row of a trajectory run."""
-
-    tau: float
-    point: SpatialPoint
-    velocity: ScaledVelocity
-    energy_eV: float
-    cb_sq: float
-    surface_residual: float
-    rho: float
-    clipped: bool
 
 
 @dataclass(frozen=True)
@@ -189,27 +138,6 @@ class TrajectoryResult:
     def __len__(self) -> int:
         return len(self.tau)
 
-    def samples(self) -> Iterator[TrajectorySample]:
-        for i in range(len(self.tau)):
-            yield TrajectorySample(
-                tau=float(self.tau[i]),
-                point=SpatialPoint(
-                    xi=float(self.xi[i]),
-                    theta=float(self.theta[i]),
-                    phi=float(self.phi[i]),
-                ),
-                velocity=ScaledVelocity(
-                    dxi=float(self.dxi[i]),
-                    dtheta=float(self.dtheta[i]),
-                    dphi=float(self.dphi[i]),
-                ),
-                energy_eV=float(self.energy_eV[i]),
-                cb_sq=float(self.cb_sq[i]),
-                surface_residual=float(self.surface_residual[i]),
-                rho=float(self.rho[i]),
-                clipped=bool(self.clipped[i]),
-            )
-
 
 def _sample_grid(tau_max: float, stride: float) -> np.ndarray:
     """Output times: every stride multiple in [0, tau_max], plus tau_max."""
@@ -230,7 +158,7 @@ def _integrate_scalar(
     stops: Sequence[float],
     on_sample: Callable,
 ):
-    """Specialized DP 5(4) loop over (xi, theta, phi) in plain floats.
+    """DP 5(4) loop over (xi, theta, phi) in plain floats (see dp5_trial).
 
     Calls on_sample(tau, xi, theta, phi, k) exactly at every stop,
     where k is the derivative tuple (dxi, dtheta, dphi, rho) evaluated
@@ -281,41 +209,9 @@ def _integrate_scalar(
             )
 
         try:
-            k2 = rhs(t + C2 * h_try, xi + h_try * (A21 * k1[0]), th + h_try * (A21 * k1[1]))
-            k3 = rhs(
-                t + C3 * h_try,
-                xi + h_try * (A31 * k1[0] + A32 * k2[0]),
-                th + h_try * (A31 * k1[1] + A32 * k2[1]),
+            xi_new, th_new, ph_new, k7, e_xi, e_th, e_ph = dp5_trial(
+                rhs, t, h_try, xi, th, ph, k1
             )
-            k4 = rhs(
-                t + C4 * h_try,
-                xi + h_try * (A41 * k1[0] + A42 * k2[0] + A43 * k3[0]),
-                th + h_try * (A41 * k1[1] + A42 * k2[1] + A43 * k3[1]),
-            )
-            k5 = rhs(
-                t + C5 * h_try,
-                xi + h_try * (A51 * k1[0] + A52 * k2[0] + A53 * k3[0] + A54 * k4[0]),
-                th + h_try * (A51 * k1[1] + A52 * k2[1] + A53 * k3[1] + A54 * k4[1]),
-            )
-            k6 = rhs(
-                t + h_try,
-                xi
-                + h_try
-                * (A61 * k1[0] + A62 * k2[0] + A63 * k3[0] + A64 * k4[0] + A65 * k5[0]),
-                th
-                + h_try
-                * (A61 * k1[1] + A62 * k2[1] + A63 * k3[1] + A64 * k4[1] + A65 * k5[1]),
-            )
-            xi_new = xi + h_try * (
-                B1 * k1[0] + B3 * k3[0] + B4 * k4[0] + B5 * k5[0] + B6 * k6[0]
-            )
-            th_new = th + h_try * (
-                B1 * k1[1] + B3 * k3[1] + B4 * k4[1] + B5 * k5[1] + B6 * k6[1]
-            )
-            ph_new = ph + h_try * (
-                B1 * k1[2] + B3 * k3[2] + B4 * k4[2] + B5 * k5[2] + B6 * k6[2]
-            )
-            k7 = rhs(t + h_try, xi_new, th_new)
         except AxisProximityError as exc:
             exc.tau = t
             exc.state = (xi, th, ph)
@@ -327,15 +223,6 @@ def _integrate_scalar(
             n_rej += 1
             continue
 
-        e_xi = h_try * (
-            E1 * k1[0] + E3 * k3[0] + E4 * k4[0] + E5 * k5[0] + E6 * k6[0] + E7 * k7[0]
-        )
-        e_th = h_try * (
-            E1 * k1[1] + E3 * k3[1] + E4 * k4[1] + E5 * k5[1] + E6 * k6[1] + E7 * k7[1]
-        )
-        e_ph = h_try * (
-            E1 * k1[2] + E3 * k3[2] + E4 * k4[2] + E5 * k5[2] + E6 * k6[2] + E7 * k7[2]
-        )
         s_xi = atol + rtol * max(abs(xi), abs(xi_new))
         s_th = atol + rtol * max(abs(th), abs(th_new))
         s_ph = atol + rtol * max(abs(ph), abs(ph_new))

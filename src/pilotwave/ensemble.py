@@ -30,47 +30,11 @@ from .drive import (
     DriveParameters,
     reduce_angle,
 )
-from .dynamics import SPIN_UP, SpinVector, make_batch_rhs
+from .dynamics import AXIS_GUARD, SPIN_UP, SpinVector, make_batch_rhs
 from .engine import IntegratorConfig
 from .errors import ParameterError
 from .observables import expected_energy
-from .stepping import (
-    A21,
-    A31,
-    A32,
-    A41,
-    A42,
-    A43,
-    A51,
-    A52,
-    A53,
-    A54,
-    A61,
-    A62,
-    A63,
-    A64,
-    A65,
-    B1,
-    B3,
-    B4,
-    B5,
-    B6,
-    C2,
-    C3,
-    C4,
-    C5,
-    E1,
-    E3,
-    E4,
-    E5,
-    E6,
-    E7,
-    MAX_FACTOR,
-    MIN_FACTOR,
-    PI_ALPHA,
-    PI_BETA,
-    SAFETY,
-)
+from .stepping import MAX_FACTOR, MIN_FACTOR, PI_ALPHA, PI_BETA, SAFETY, dp5_trial
 from .wavefield import N1, N2, SpatialPoint, density
 
 DEFAULT_SEED = 20260819
@@ -80,9 +44,6 @@ DEFAULT_BINS = 20
 # Fraction of trajectories allowed to drop out (axis or step failure)
 # before a run is considered invalid.
 DROPOUT_LIMIT = 1e-3
-
-# Batch axis guard; matches the scalar dynamics guard.
-AXIS_GUARD = 1e-6
 
 
 class EnsembleDropoutError(ParameterError):
@@ -239,6 +200,11 @@ def tv_distance(
     """Total-variation distance between the ensemble and the density."""
     observed, obs_over = histogram_masses(xi, theta, bins=bins, xi_max=xi_max)
     expected, exp_over = reference_masses(tau, coeffs, bins=bins, xi_max=xi_max)
+    return _tv(observed, obs_over, expected, exp_over)
+
+
+def _tv(observed, obs_over, expected, exp_over) -> float:
+    """Total-variation distance between two binned masses with overflow."""
     return 0.5 * (
         float(np.abs(observed - expected).sum()) + abs(obs_over - exp_over)
     )
@@ -252,7 +218,7 @@ def _advance_batch(
     tau_target: float,
     cfg: IntegratorConfig,
 ):
-    """Vectorized DP 5(4) with per-trajectory clocks and step sizes.
+    """Vectorized DP 5(4) (see dp5_trial) with per-trajectory clocks and steps.
 
     Returns (xi, theta, phi, ok_mask, axis_mask, underflow_mask); the
     coordinate arrays hold final values only where ok_mask is set.
@@ -275,6 +241,13 @@ def _advance_batch(
     bad = np.sin(y1) < AXIS_GUARD
     axis_out |= bad
     alive &= ~bad
+
+    # Stage 1 of each row's next trial (first-same-as-last).  A rejected
+    # row keeps its clock and state, and an accepted row's last stage
+    # was evaluated at its new clock and state, so after this one call
+    # every row's k1 is known without evaluating it again.
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        stage1 = list(rhs(t, y0, y1)[:3])
 
     active = alive & (t < tau_target)
     while active.any():
@@ -308,51 +281,15 @@ def _advance_batch(
         # error norm and the step is retried smaller, so the transient
         # warnings carry no information.
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            k1 = rhs(ti, a0, a1)
-            k2 = rhs(ti + C2 * hi, a0 + hi * (A21 * k1[0]), a1 + hi * (A21 * k1[1]))
-            k3 = rhs(
-                ti + C3 * hi,
-                a0 + hi * (A31 * k1[0] + A32 * k2[0]),
-                a1 + hi * (A31 * k1[1] + A32 * k2[1]),
-            )
-            k4 = rhs(
-                ti + C4 * hi,
-                a0 + hi * (A41 * k1[0] + A42 * k2[0] + A43 * k3[0]),
-                a1 + hi * (A41 * k1[1] + A42 * k2[1] + A43 * k3[1]),
-            )
-            k5 = rhs(
-                ti + C5 * hi,
-                a0 + hi * (A51 * k1[0] + A52 * k2[0] + A53 * k3[0] + A54 * k4[0]),
-                a1 + hi * (A51 * k1[1] + A52 * k2[1] + A53 * k3[1] + A54 * k4[1]),
-            )
-            k6 = rhs(
-                ti + hi,
-                a0 + hi * (A61 * k1[0] + A62 * k2[0] + A63 * k3[0] + A64 * k4[0] + A65 * k5[0]),
-                a1 + hi * (A61 * k1[1] + A62 * k2[1] + A63 * k3[1] + A64 * k4[1] + A65 * k5[1]),
-            )
-            b0 = a0 + hi * (B1 * k1[0] + B3 * k3[0] + B4 * k4[0] + B5 * k5[0] + B6 * k6[0])
-            b1 = a1 + hi * (B1 * k1[1] + B3 * k3[1] + B4 * k4[1] + B5 * k5[1] + B6 * k6[1])
-            b2 = a2 + hi * (B1 * k1[2] + B3 * k3[2] + B4 * k4[2] + B5 * k5[2] + B6 * k6[2])
-
-            # The axis guard must precede the k7 evaluation: a trial
-            # state past the axis would put 1/sin(theta) on the wrong
-            # sheet, so those rows are evaluated at the old state and
-            # their error is forced to inf below.
-            axis_hit = ~(np.sin(b1) >= AXIS_GUARD)
-            safe = ~axis_hit
-            k7 = rhs(
-                np.where(safe, ti + hi, ti),
-                np.where(safe, b0, a0),
-                np.where(safe, b1, a1),
-            )
-
-            e0 = hi * (E1 * k1[0] + E3 * k3[0] + E4 * k4[0] + E5 * k5[0] + E6 * k6[0] + E7 * k7[0])
-            e1_ = hi * (E1 * k1[1] + E3 * k3[1] + E4 * k4[1] + E5 * k5[1] + E6 * k6[1] + E7 * k7[1])
-            e2_ = hi * (E1 * k1[2] + E3 * k3[2] + E4 * k4[2] + E5 * k5[2] + E6 * k6[2] + E7 * k7[2])
+            k1 = [k[idx] for k in stage1]
+            b0, b1, b2, k7, e0, e1, e2 = dp5_trial(rhs, ti, hi, a0, a1, a2, k1)
             s0 = atol + rtol * np.maximum(np.abs(a0), np.abs(b0))
             s1 = atol + rtol * np.maximum(np.abs(a1), np.abs(b1))
             s2 = atol + rtol * np.maximum(np.abs(a2), np.abs(b2))
-            err = np.sqrt(((e0 / s0) ** 2 + (e1_ / s1) ** 2 + (e2_ / s2) ** 2) / 3.0)
+            err = np.sqrt(((e0 / s0) ** 2 + (e1 / s1) ** 2 + (e2 / s2) ** 2) / 3.0)
+            # A trial state past the axis puts 1/sin(theta) on the wrong
+            # sheet, so its last stage and error mean nothing.
+            axis_hit = ~(np.sin(b1) >= AXIS_GUARD)
         err = np.where(np.isfinite(err), err, np.inf)
         err = np.where(axis_hit, np.inf, err)
 
@@ -363,6 +300,8 @@ def _advance_batch(
             y0[acc_idx] = b0[accept]
             y1[acc_idx] = b1[accept]
             y2[acc_idx] = b2[accept]
+            for k, k_new in zip(stage1, k7):
+                k[acc_idx] = k_new[accept]
             e_acc = err[accept]
             # Floor the error before powering: np.where evaluates both
             # branches, and 0 ** -alpha would warn.
@@ -445,13 +384,15 @@ def evolve_ensemble(
         ok = np.ones(count, dtype=bool)
         axis_out = np.zeros(count, dtype=bool)
         under_out = np.zeros(count, dtype=bool)
-        divergence = baseline
     else:
         rhs = make_batch_rhs(source, spin=spin)
         xf, tf, pf, ok, axis_out, under_out = _advance_batch(
             rhs, xi, theta, phi, tau_target, config
         )
-        divergence = tv_distance(xf[ok], tf[ok], tau_target, coeffs_at(tau_target), bins=bins)
+    expected, exp_over = reference_masses(
+        tau_target, coeffs_at(tau_target), bins=bins
+    )
+    observed, obs_over = histogram_masses(xf[ok], tf[ok], bins=bins)
 
     # Mean local energy over the surviving, unclipped trajectories.
     include_drive = source.drive if source.is_driven else None
@@ -472,18 +413,13 @@ def evolve_ensemble(
         state = coeffs_at(tau_target)
         exp_e = (1.0 - state.cb_sq) * CODATA.E1_eV + state.cb_sq * CODATA.E2_eV
 
-    expected, exp_over = reference_masses(
-        tau_target, coeffs_at(tau_target), bins=bins
-    )
-    observed, obs_over = histogram_masses(xf[ok], tf[ok], bins=bins)
-
     dropout = int(count - ok.sum())
     summary = EnsembleSummary(
         count=count,
         seed=seed,
         tau_target=tau_target,
         bins=bins,
-        divergence=divergence,
+        divergence=_tv(observed, obs_over, expected, exp_over),
         baseline_divergence=baseline,
         observed=observed,
         expected=expected,

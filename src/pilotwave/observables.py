@@ -221,11 +221,3 @@ def reference_energy(
     integrand = (rho_h0 + rho * drive_field) * xg * xg
     return float(2.0 * math.pi * np.einsum("i,j,ij->", wx, wm, integrand))
 
-
-def angular_velocity_series(result) -> tuple[np.ndarray, np.ndarray]:
-    """(tau, dphi/dtau) along a trajectory result.
-
-    Reports the analytic field values stored at sampling time, not a
-    finite difference of the phi series.
-    """
-    return result.tau.copy(), result.dphi.copy()

@@ -1,15 +1,18 @@
 """Adaptive Dormand-Prince 5(4) stepping.
 
-One tableau, shared by three drivers:
+One tableau, one PI controller, two pieces of stepping code:
 
+* dp5_trial below, one trial step of a trajectory (xi, theta, phi).
+  It is plain arithmetic on whatever it is given, so the scalar loop in
+  engine.py runs it on Python floats and the batched ensemble loop in
+  ensemble.py runs it on numpy arrays with per-trajectory clocks and
+  step sizes.  Each loop keeps its own error norm, step control, stop
+  landing and failure accounting; both reuse an accepted step's last
+  stage as the next step's first (first-same-as-last).
 * integrate_array below, a generic driver for small numpy state vectors
-  (used for the amplitude ODE cross-check);
-* the specialized scalar trajectory loop in engine.py, which keeps the
-  state in plain floats for speed;
-* the batched ensemble loop in ensemble.py, which advances many
-  trajectories with per-trajectory step sizes.
+  (used for the amplitude ODE cross-check).
 
-All three use the same embedded pair, the same RMS error norm with
+All drivers use the same embedded pair, the same RMS error norm with
 scale atol + rtol*max(|y|, |y_new|), and the same PI step controller
 (growth factor safety * err^-0.14 * err_prev^0.08, clipped to
 [0.2, 5], capped at 1 right after a rejection).
@@ -66,6 +69,60 @@ MAX_FACTOR = 5.0
 # PI controller exponents for a 5th-order error estimate.
 PI_ALPHA = 0.7 / 5.0
 PI_BETA = 0.4 / 5.0
+
+
+def dp5_trial(rhs, t, h, xi, theta, phi, k1):
+    """One Dormand-Prince 5(4) trial step of a trajectory.
+
+    rhs(t, xi, theta) returns (dxi, dtheta, dphi, rho); phi does not
+    feed back into the rates.  k1 is rhs at (t, xi, theta).  Every
+    argument may be a Python float or an equal-length numpy array: the
+    step is written once, in one operation order, for both.
+
+    Returns (xi_new, theta_new, phi_new, k7, e_xi, e_theta, e_phi): the
+    fifth-order state, rhs evaluated there (stage 1 of the next step
+    under first-same-as-last) and the embedded error of each component.
+    The last two stages are evaluated at one shared time object, t + h.
+    """
+    k2 = rhs(t + C2 * h, xi + h * (A21 * k1[0]), theta + h * (A21 * k1[1]))
+    k3 = rhs(
+        t + C3 * h,
+        xi + h * (A31 * k1[0] + A32 * k2[0]),
+        theta + h * (A31 * k1[1] + A32 * k2[1]),
+    )
+    k4 = rhs(
+        t + C4 * h,
+        xi + h * (A41 * k1[0] + A42 * k2[0] + A43 * k3[0]),
+        theta + h * (A41 * k1[1] + A42 * k2[1] + A43 * k3[1]),
+    )
+    k5 = rhs(
+        t + C5 * h,
+        xi + h * (A51 * k1[0] + A52 * k2[0] + A53 * k3[0] + A54 * k4[0]),
+        theta + h * (A51 * k1[1] + A52 * k2[1] + A53 * k3[1] + A54 * k4[1]),
+    )
+    t_new = t + h
+    k6 = rhs(
+        t_new,
+        xi + h * (A61 * k1[0] + A62 * k2[0] + A63 * k3[0] + A64 * k4[0] + A65 * k5[0]),
+        theta
+        + h * (A61 * k1[1] + A62 * k2[1] + A63 * k3[1] + A64 * k4[1] + A65 * k5[1]),
+    )
+    xi_new = xi + h * (B1 * k1[0] + B3 * k3[0] + B4 * k4[0] + B5 * k5[0] + B6 * k6[0])
+    theta_new = theta + h * (
+        B1 * k1[1] + B3 * k3[1] + B4 * k4[1] + B5 * k5[1] + B6 * k6[1]
+    )
+    phi_new = phi + h * (B1 * k1[2] + B3 * k3[2] + B4 * k4[2] + B5 * k5[2] + B6 * k6[2])
+    k7 = rhs(t_new, xi_new, theta_new)
+    e_xi = h * (
+        E1 * k1[0] + E3 * k3[0] + E4 * k4[0] + E5 * k5[0] + E6 * k6[0] + E7 * k7[0]
+    )
+    e_theta = h * (
+        E1 * k1[1] + E3 * k3[1] + E4 * k4[1] + E5 * k5[1] + E6 * k6[1] + E7 * k7[1]
+    )
+    e_phi = h * (
+        E1 * k1[2] + E3 * k3[2] + E4 * k4[2] + E5 * k5[2] + E6 * k6[2] + E7 * k7[2]
+    )
+    return xi_new, theta_new, phi_new, k7, e_xi, e_theta, e_phi
 
 
 def initial_step(f, t0, y0, k1, t_end, rtol, atol, max_step):

@@ -81,17 +81,6 @@ def test_columns_share_length_and_manifest(reference_drive):
     assert d["stats"]["samples"] == n
 
 
-def test_samples_iterator_matches_columns(reference_drive):
-    result = integrate(
-        SpatialPoint(xi=4.0, theta=1.0), 10.0, AnalyticSource(reference_drive)
-    )
-    rows = list(result.samples())
-    assert len(rows) == len(result.tau)
-    assert rows[3].tau == result.tau[3]
-    assert rows[3].point.xi == result.xi[3]
-    assert rows[3].velocity.dphi == result.dphi[3]
-
-
 def test_determinism_bitwise(reference_drive):
     a = integrate(
         SpatialPoint(xi=4.0, theta=1.0), 300.0, AnalyticSource(reference_drive)

@@ -25,7 +25,6 @@ from pilotwave import (
 from pilotwave.constants import CODATA
 from pilotwave.observables import (
     ENERGY_CLIP_EV,
-    angular_velocity_series,
     local_energy_envelope_route,
     reference_energy,
 )
@@ -168,24 +167,3 @@ def test_expected_energy_interpolates_levels(reference_drive):
     peak = reference_drive.peak_transition_probability
     weighted = E1_EV * (1.0 - peak) + (E1_EV / 4.0) * peak
     assert abs(e_pk - weighted) < 0.05  # dipole cross term is small
-
-
-# ---------------------------------------------------------------------------
-# Series helper
-# ---------------------------------------------------------------------------
-
-
-def test_angular_velocity_series_copies_columns(reference_drive):
-    from pilotwave import AnalyticSource, IntegratorConfig, integrate
-
-    result = integrate(
-        SpatialPoint(xi=4.0, theta=1.0),
-        50.0,
-        AnalyticSource(reference_drive),
-        IntegratorConfig(output_stride=5.0),
-    )
-    tau, dphi = angular_velocity_series(result)
-    np.testing.assert_array_equal(tau, result.tau)
-    np.testing.assert_array_equal(dphi, result.dphi)
-    dphi[0] = -1.0  # copies, not views
-    assert result.dphi[0] != -1.0
