@@ -48,6 +48,7 @@ from .engine import (
 from .ensemble import (
     EnsembleSummary,
     evolve_ensemble,
+    evolve_targets,
     sample_initial,
     tv_distance,
 )
@@ -98,6 +99,7 @@ __all__ = [
     "envelope_Tprime",
     "eval_wave",
     "evolve_ensemble",
+    "evolve_targets",
     "expected_energy",
     "integrate",
     "integrate_long",

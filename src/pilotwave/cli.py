@@ -33,9 +33,12 @@ from .engine import (
     VERSION_TAG,
     integrate,
 )
+# evolve_ensemble stays bound here: perfbench/layers.py wraps
+# cli.evolve_ensemble by name.
 from .ensemble import (
-    EnsembleDropoutError,
-    evolve_ensemble,
+    XI_MAX_BIN,
+    evolve_ensemble,  # noqa: F401
+    evolve_targets,
     sample_arrays,
 )
 from .errors import (
@@ -166,25 +169,22 @@ def cmd_ensemble(args) -> int:
     source = cfg.source()
     xi0, theta0, phi0 = sample_arrays(cfg.count, cfg.seed)
 
-    targets = []
+    targets = evolve_targets(
+        (xi0, theta0, phi0),
+        cfg.tau_targets,
+        drive,
+        cfg.integrator(),
+        source=source,
+        seed=cfg.seed,
+        bins=cfg.bins,
+    )
     exit_code = 0
-    for tau_target in cfg.tau_targets:
-        try:
-            summary = evolve_ensemble(
-                (xi0, theta0, phi0),
-                tau_target,
-                drive,
-                cfg.integrator(),
-                source=source,
-                seed=cfg.seed,
-                bins=cfg.bins,
-            )
-        except EnsembleDropoutError as exc:
+    for summary in targets:
+        error = summary.dropout_error()
+        if error is not None:
             # The budget is blown but the report is still written.
-            summary = exc.summary
             exit_code = 6
-            print("ensemble: %s" % (exc,), file=sys.stderr)
-        targets.append(summary)
+            print("ensemble: %s" % (error,), file=sys.stderr)
 
     if "json" in cfg.formats:
         doc = {
@@ -234,7 +234,7 @@ def _write_histogram_csv(path: str, summaries) -> None:
     lines = ["tau_target,xi_lo,xi_hi,mu_lo,mu_hi,observed,expected"]
     for s in summaries:
         nb = s.bins
-        xi_edges = np.linspace(0.0, 12.0, nb + 1)
+        xi_edges = np.linspace(0.0, XI_MAX_BIN, nb + 1)
         mu_edges = np.linspace(-1.0, 1.0, nb + 1)
         for i in range(nb):
             for j in range(nb):

@@ -76,6 +76,22 @@ class EnsembleSummary:
     dropout_axis: int
     dropout_underflow: int
 
+    def dropout_error(self) -> Optional[EnsembleDropoutError]:
+        """The error for a blown drop-out budget, or None within it."""
+        if self.dropout_count > DROPOUT_LIMIT * self.count:
+            return EnsembleDropoutError(
+                "%d of %d trajectories dropped out by tau = %g (axis %d, underflow %d)"
+                % (
+                    self.dropout_count,
+                    self.count,
+                    self.tau_target,
+                    self.dropout_axis,
+                    self.dropout_underflow,
+                ),
+                summary=self,
+            )
+        return None
+
     def to_dict(self) -> dict:
         return {
             "count": self.count,
@@ -215,13 +231,16 @@ def _advance_batch(
     xi: np.ndarray,
     theta: np.ndarray,
     phi: np.ndarray,
-    tau_target: float,
+    tau_targets,
     cfg: IntegratorConfig,
 ):
     """Vectorized DP 5(4) (see dp5_trial) with per-trajectory clocks and steps.
 
-    Returns (xi, theta, phi, ok_mask, axis_mask, underflow_mask); the
-    coordinate arrays hold final values only where ok_mask is set.
+    The cloud runs forward once through the ascending tau_targets; every
+    row lands exactly on each target, and its step size and controller
+    memory carry over the landing.  Returns one (xi, theta, phi, ok_mask,
+    axis_mask, underflow_mask) per target; the coordinate arrays hold
+    values only where ok_mask is set, and drop-outs accumulate.
     """
     n = len(xi)
     t = np.zeros(n)
@@ -242,98 +261,104 @@ def _advance_batch(
     axis_out |= bad
     alive &= ~bad
 
-    # Stage 1 of each row's next trial (first-same-as-last).  A rejected
-    # row keeps its clock and state, and an accepted row's last stage
-    # was evaluated at its new clock and state, so after this one call
-    # every row's k1 is known without evaluating it again.
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        stage1 = list(rhs(t, y0, y1)[:3])
-
-    active = alive & (t < tau_target)
-    while active.any():
-        idx = np.nonzero(active)[0]
-        ti = t[idx]
-        hi = np.minimum(h[idx], cfg.max_step)
-        rem = tau_target - ti
-        hits = hi >= rem
-        hi = np.where(hits, rem, hi)
-
-        under = hi < cfg.min_step
-        if under.any():
-            sel = idx[under]
-            under_out[sel] = True
-            alive[sel] = False
-            keep = ~under
-            idx = idx[keep]
-            if idx.size == 0:
-                active = alive & (t < tau_target)
-                continue
-            ti = ti[keep]
-            hi = hi[keep]
-            hits = hits[keep]
-
-        a0 = y0[idx]
-        a1 = y1[idx]
-        a2 = y2[idx]
-
-        # A trial stage can momentarily leave the valid region (xi <= 0,
-        # axis crossing, node); the resulting inf/nan is caught by the
-        # error norm and the step is retried smaller, so the transient
-        # warnings carry no information.
+    states = []
+    for tau_target in tau_targets:
+        # Stage 1 of each row's next trial (first-same-as-last).  A
+        # rejected row keeps its clock and state, and an accepted row's
+        # last stage was evaluated at its new clock and state, so after
+        # this one call every row's k1 is known without evaluating it
+        # again.  A row that landed on the previous target had its last
+        # stage evaluated at ti + (target - ti), which can be an ulp off
+        # its clock, so every segment starts from a fresh call.
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            k1 = [k[idx] for k in stage1]
-            b0, b1, b2, k7, e0, e1, e2 = dp5_trial(rhs, ti, hi, a0, a1, a2, k1)
-            s0 = atol + rtol * np.maximum(np.abs(a0), np.abs(b0))
-            s1 = atol + rtol * np.maximum(np.abs(a1), np.abs(b1))
-            s2 = atol + rtol * np.maximum(np.abs(a2), np.abs(b2))
-            err = np.sqrt(((e0 / s0) ** 2 + (e1 / s1) ** 2 + (e2 / s2) ** 2) / 3.0)
-            # A trial state past the axis puts 1/sin(theta) on the wrong
-            # sheet, so its last stage and error mean nothing.
-            axis_hit = ~(np.sin(b1) >= AXIS_GUARD)
-        err = np.where(np.isfinite(err), err, np.inf)
-        err = np.where(axis_hit, np.inf, err)
-
-        accept = err <= 1.0
-        acc_idx = idx[accept]
-        if acc_idx.size:
-            t[acc_idx] = np.where(hits[accept], tau_target, ti[accept] + hi[accept])
-            y0[acc_idx] = b0[accept]
-            y1[acc_idx] = b1[accept]
-            y2[acc_idx] = b2[accept]
-            for k, k_new in zip(stage1, k7):
-                k[acc_idx] = k_new[accept]
-            e_acc = err[accept]
-            # Floor the error before powering: np.where evaluates both
-            # branches, and 0 ** -alpha would warn.
-            e_pow = np.maximum(e_acc, 1e-300)
-            fac = np.where(
-                e_acc == 0.0,
-                MAX_FACTOR,
-                SAFETY * e_pow ** (-PI_ALPHA) * err_prev[acc_idx] ** PI_BETA,
-            )
-            fac = np.clip(fac, MIN_FACTOR, MAX_FACTOR)
-            fac = np.where(just_rej[acc_idx], np.minimum(fac, 1.0), fac)
-            h[acc_idx] = hi[accept] * fac
-            err_prev[acc_idx] = np.maximum(e_acc, 1e-4)
-            just_rej[acc_idx] = False
-
-        rej_idx = idx[~accept]
-        if rej_idx.size:
-            e_rej = err[~accept]
-            shrink = np.where(
-                np.isfinite(e_rej),
-                np.maximum(MIN_FACTOR, SAFETY * e_rej ** (-PI_ALPHA)),
-                0.5,
-            )
-            h[rej_idx] = hi[~accept] * shrink
-            just_rej[rej_idx] = True
-            # Repeated axis failures shrink h below min_step and the
-            # trajectory is then dropped on a later sweep.
+            stage1 = list(rhs(t, y0, y1)[:3])
 
         active = alive & (t < tau_target)
+        while active.any():
+            idx = np.nonzero(active)[0]
+            ti = t[idx]
+            hi = np.minimum(h[idx], cfg.max_step)
+            rem = tau_target - ti
+            hits = hi >= rem
+            hi = np.where(hits, rem, hi)
 
-    ok = alive & ~axis_out & ~under_out
-    return y0, y1, y2, ok, axis_out, under_out
+            under = hi < cfg.min_step
+            if under.any():
+                sel = idx[under]
+                under_out[sel] = True
+                alive[sel] = False
+                keep = ~under
+                idx = idx[keep]
+                if idx.size == 0:
+                    active = alive & (t < tau_target)
+                    continue
+                ti = ti[keep]
+                hi = hi[keep]
+                hits = hits[keep]
+
+            a0 = y0[idx]
+            a1 = y1[idx]
+            a2 = y2[idx]
+
+            # A trial stage can momentarily leave the valid region (xi <= 0,
+            # axis crossing, node); the resulting inf/nan is caught by the
+            # error norm and the step is retried smaller, so the transient
+            # warnings carry no information.
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                k1 = [k[idx] for k in stage1]
+                b0, b1, b2, k7, e0, e1, e2 = dp5_trial(rhs, ti, hi, a0, a1, a2, k1)
+                s0 = atol + rtol * np.maximum(np.abs(a0), np.abs(b0))
+                s1 = atol + rtol * np.maximum(np.abs(a1), np.abs(b1))
+                s2 = atol + rtol * np.maximum(np.abs(a2), np.abs(b2))
+                err = np.sqrt(((e0 / s0) ** 2 + (e1 / s1) ** 2 + (e2 / s2) ** 2) / 3.0)
+                # A trial state past the axis puts 1/sin(theta) on the wrong
+                # sheet, so its last stage and error mean nothing.
+                axis_hit = ~(np.sin(b1) >= AXIS_GUARD)
+            err = np.where(np.isfinite(err), err, np.inf)
+            err = np.where(axis_hit, np.inf, err)
+
+            accept = err <= 1.0
+            acc_idx = idx[accept]
+            if acc_idx.size:
+                t[acc_idx] = np.where(hits[accept], tau_target, ti[accept] + hi[accept])
+                y0[acc_idx] = b0[accept]
+                y1[acc_idx] = b1[accept]
+                y2[acc_idx] = b2[accept]
+                for k, k_new in zip(stage1, k7):
+                    k[acc_idx] = k_new[accept]
+                e_acc = err[accept]
+                # Floor the error before powering: np.where evaluates both
+                # branches, and 0 ** -alpha would warn.
+                e_pow = np.maximum(e_acc, 1e-300)
+                fac = np.where(
+                    e_acc == 0.0,
+                    MAX_FACTOR,
+                    SAFETY * e_pow ** (-PI_ALPHA) * err_prev[acc_idx] ** PI_BETA,
+                )
+                fac = np.clip(fac, MIN_FACTOR, MAX_FACTOR)
+                fac = np.where(just_rej[acc_idx], np.minimum(fac, 1.0), fac)
+                h[acc_idx] = hi[accept] * fac
+                err_prev[acc_idx] = np.maximum(e_acc, 1e-4)
+                just_rej[acc_idx] = False
+
+            rej_idx = idx[~accept]
+            if rej_idx.size:
+                e_rej = err[~accept]
+                shrink = np.where(
+                    np.isfinite(e_rej),
+                    np.maximum(MIN_FACTOR, SAFETY * e_rej ** (-PI_ALPHA)),
+                    0.5,
+                )
+                h[rej_idx] = hi[~accept] * shrink
+                just_rej[rej_idx] = True
+                # Repeated axis failures shrink h below min_step and the
+                # trajectory is then dropped on a later sweep.
+
+            active = alive & (t < tau_target)
+
+        ok = alive & ~axis_out & ~under_out
+        states.append((y0.copy(), y1.copy(), y2.copy(), ok, axis_out.copy(), under_out.copy()))
+    return states
 
 
 def evolve_ensemble(
@@ -349,15 +374,44 @@ def evolve_ensemble(
 ) -> EnsembleSummary:
     """Propagate an ensemble to tau_target and compare with the density.
 
+    The one-target case of evolve_targets, whose other arguments it
+    takes.  If more than 0.1% of the ensemble drops out, the summary's
+    EnsembleDropoutError is raised after the statistics are computed;
+    it carries the summary and its message the counts.
+    """
+    (summary,) = evolve_targets(
+        points, (tau_target,), drive, config, source=source, seed=seed, bins=bins, spin=spin
+    )
+    error = summary.dropout_error()
+    if error is not None:
+        raise error
+    return summary
+
+
+def evolve_targets(
+    points,
+    tau_targets,
+    drive: Optional[DriveParameters],
+    config: IntegratorConfig = IntegratorConfig(),
+    *,
+    source=None,
+    seed: int = DEFAULT_SEED,
+    bins: int = DEFAULT_BINS,
+    spin: SpinVector = SPIN_UP,
+) -> list[EnsembleSummary]:
+    """Propagate an ensemble once through every target time.
+
     points is a list of SpatialPoint or a (xi, theta, phi) array
     triple.  drive selects the analytic driven amplitudes; pass
     source=FrozenSource(...) (and drive=None) for undriven states.
-    The seed is recorded in the summary for bookkeeping only; sampling
-    happens in sample_initial/sample_arrays.
+    The seed is recorded in the summaries for bookkeeping only;
+    sampling happens in sample_initial/sample_arrays.
 
-    Per-trajectory failures become counted drop-outs; if more than 0.1%
-    of the ensemble drops out, ParameterError is raised after the
-    summary statistics are computed (the message carries the counts).
+    The cloud is run forward once, in ascending time, and the summaries
+    come back in the order of tau_targets (repeats and tau = 0
+    included).  Per-trajectory failures become drop-outs counted from
+    tau = 0 up to each target; a summary over the budget is returned,
+    not raised (see EnsembleSummary.dropout_error).
     """
     if source is None:
         if drive is None:
@@ -371,33 +425,37 @@ def evolve_ensemble(
     else:
         xi, theta, phi = (np.asarray(a, dtype=float) for a in points)
     count = len(xi)
-    if tau_target < 0.0:
-        raise ParameterError("tau_target must be non-negative, got %r" % (tau_target,))
+    for tau in tau_targets:
+        if not tau >= 0.0:
+            raise ParameterError("tau_target must be non-negative, got %r" % (tau,))
 
-    def coeffs_at(tau: float) -> CoefficientState:
-        return source.eval(tau)
-
-    baseline = tv_distance(xi, theta, 0.0, coeffs_at(0.0), bins=bins)
-
-    if tau_target == 0.0:
-        xf, tf, pf = xi, theta, phi
-        ok = np.ones(count, dtype=bool)
-        axis_out = np.zeros(count, dtype=bool)
-        under_out = np.zeros(count, dtype=bool)
-    else:
+    baseline = tv_distance(xi, theta, 0.0, source.eval(0.0), bins=bins)
+    zeros = np.zeros(count, dtype=bool)
+    states = {0.0: (xi, theta, phi, ~zeros, zeros, zeros)}
+    later = sorted({tau for tau in tau_targets if tau > 0.0})
+    if later:
         rhs = make_batch_rhs(source, spin=spin)
-        xf, tf, pf, ok, axis_out, under_out = _advance_batch(
-            rhs, xi, theta, phi, tau_target, config
-        )
-    expected, exp_over = reference_masses(
-        tau_target, coeffs_at(tau_target), bins=bins
-    )
+        states.update(zip(later, _advance_batch(rhs, xi, theta, phi, later, config)))
+    summaries = {
+        tau: _summarize(tau, state, source, config, baseline, seed, bins)
+        for tau, state in states.items()
+        if tau in tau_targets
+    }
+    return [summaries[tau] for tau in tau_targets]
+
+
+def _summarize(tau_target, state, source, config, baseline, seed, bins) -> EnsembleSummary:
+    """Compare one propagated state with the density at tau_target."""
+    xf, tf, pf, ok, axis_out, under_out = state
+    count = len(xf)
+    coeffs = source.eval(tau_target)
+    expected, exp_over = reference_masses(tau_target, coeffs, bins=bins)
     observed, obs_over = histogram_masses(xf[ok], tf[ok], bins=bins)
 
     # Mean local energy over the surviving, unclipped trajectories.
     include_drive = source.drive if source.is_driven else None
     energies, clipped = _energy_batch(
-        xf[ok], tf[ok], tau_target, coeffs_at(tau_target), include_drive, config.rho_floor
+        xf[ok], tf[ok], tau_target, coeffs, include_drive, config.rho_floor
     )
     use = ~clipped
     n_use = int(use.sum())
@@ -410,11 +468,9 @@ def evolve_ensemble(
     if include_drive is not None:
         exp_e = float(expected_energy(tau_target, include_drive))
     else:
-        state = coeffs_at(tau_target)
-        exp_e = (1.0 - state.cb_sq) * CODATA.E1_eV + state.cb_sq * CODATA.E2_eV
+        exp_e = (1.0 - coeffs.cb_sq) * CODATA.E1_eV + coeffs.cb_sq * CODATA.E2_eV
 
-    dropout = int(count - ok.sum())
-    summary = EnsembleSummary(
+    return EnsembleSummary(
         count=count,
         seed=seed,
         tau_target=tau_target,
@@ -429,17 +485,10 @@ def evolve_ensemble(
         se_energy_eV=se_e,
         expected_energy_eV=exp_e,
         clipped_count=int(clipped.sum()),
-        dropout_count=dropout,
+        dropout_count=int(count - ok.sum()),
         dropout_axis=int(axis_out.sum()),
         dropout_underflow=int(under_out.sum()),
     )
-    if dropout > DROPOUT_LIMIT * count:
-        raise EnsembleDropoutError(
-            "%d of %d trajectories dropped out (axis %d, underflow %d)"
-            % (dropout, count, summary.dropout_axis, summary.dropout_underflow),
-            summary=summary,
-        )
-    return summary
 
 
 def _energy_batch(

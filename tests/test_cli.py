@@ -198,6 +198,28 @@ def test_ensemble_outputs_and_seed_override(tmp_path):
     assert abs(observed_total - 1.0) < 1e-12
 
 
+def test_ensemble_reports_targets_in_config_order(tmp_path):
+    # One pass serves every target; the report keeps the config order,
+    # repeats and tau = 0 included.
+    cfg_path = write_cfg(tmp_path, count=300, tau_targets=(20.0, 0.0, 10.0, 10.0), bins=10)
+    out = tmp_path / "order"
+    assert main(["ensemble", "--config", cfg_path, "--out", str(out)]) == 0
+
+    doc = json.loads((out / "ensemble_summary.json").read_text(encoding="utf-8"))
+    at_20, at_0, at_10, again_10 = doc["targets"]
+    assert [t["tau_target"] for t in doc["targets"]] == [20.0, 0.0, 10.0, 10.0]
+    assert at_10 == again_10
+    assert at_0["divergence"] == at_0["baseline_divergence"]
+    assert at_10["dropout_count"] <= at_20["dropout_count"]
+
+    lines = (out / "histogram.csv").read_text(encoding="utf-8").splitlines()[1:]
+    cells = 10 * 10 + 1
+    blocks = [lines[i : i + cells] for i in range(0, len(lines), cells)]
+    assert [float(b[0].split(",")[0]) for b in blocks] == [20.0, 0.0, 10.0, 10.0]
+    assert all(len({row.split(",")[0] for row in b}) == 1 for b in blocks)
+    assert blocks[2] == blocks[3]
+
+
 def test_ensemble_dropout_budget_exit_code(tmp_path, capsys):
     # Frozen mode plus an unreachable tolerance underflows every
     # trajectory; the report is still written, with exit code 6.

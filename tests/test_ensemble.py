@@ -32,6 +32,7 @@ from pilotwave import (
     SpatialPoint,
     coefficients,
     evolve_ensemble,
+    evolve_targets,
     sample_initial,
     tv_distance,
 )
@@ -232,6 +233,27 @@ def test_axis_dropouts_raise_with_summary():
     assert err.summary.dropout_count == n
     assert err.summary.dropout_axis == n
     assert err.summary.dropout_underflow == 0
+
+
+def test_targets_report_cumulative_dropouts_without_raising():
+    # Every target gets its summary even past the budget; drop-outs
+    # count from tau = 0, and the budget error is the one evolve_ensemble
+    # raises.
+    r = math.sqrt(0.5)
+    source = FrozenSource(complex(r, 0.0), complex(0.0, -r))
+    n = 10
+    theta = np.full(n, 1.0)
+    theta[:3] = 1e-7
+    points = (np.full(n, 2.0), theta, np.zeros(n))
+    late, zero, early = evolve_targets(points, (50.0, 0.0, 5.0), None, QUICK, source=source)
+    assert (zero.dropout_count, early.dropout_count, late.dropout_count) == (0, 3, 3)
+    assert [s.dropout_error() is None for s in (late, zero, early)] == [False, True, False]
+    error = late.dropout_error()
+    assert isinstance(error, EnsembleDropoutError)
+    assert error.summary is late
+    with pytest.raises(EnsembleDropoutError) as excinfo:
+        evolve_ensemble(points, 50.0, None, QUICK, source=source)
+    assert str(excinfo.value) == str(error)
 
 
 def test_dropouts_at_limit_are_counted_not_fatal():
