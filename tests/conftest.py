@@ -15,12 +15,24 @@ E0 = 8.8e7 V/m and detuning Omega = 1.55e12 1/s.  Three variants:
 from __future__ import annotations
 
 import math
+import multiprocessing
 import time
 
 import pytest
 
 from pilotwave import IntegratorConfig, derive_drive, evolve_ensemble
 from pilotwave.ensemble import sample_arrays
+
+
+@pytest.fixture(autouse=True)
+def no_child_process_left():
+    """Fail a test that leaves a live child process behind (after ending it)."""
+    yield
+    left = multiprocessing.active_children()
+    for child in left:
+        child.terminate()
+        child.join(5.0)
+    assert not left, "test left child processes running: %r" % (left,)
 
 
 @pytest.fixture(scope="session")

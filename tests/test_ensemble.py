@@ -19,8 +19,12 @@ like 1/sqrt(N)).
 
 from __future__ import annotations
 
+import faulthandler
 import json
 import math
+import multiprocessing
+import os
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
@@ -31,12 +35,14 @@ from pilotwave import (
     ParameterError,
     SpatialPoint,
     coefficients,
+    ensemble,
     evolve_ensemble,
     evolve_targets,
     sample_initial,
     tv_distance,
 )
 from pilotwave.ensemble import (
+    SHARD_MIN_ROWS,
     EnsembleDropoutError,
     histogram_masses,
     reference_masses,
@@ -290,8 +296,42 @@ def test_needs_drive_or_source():
     points = sample_arrays(10, seed=1)
     with pytest.raises(ParameterError):
         evolve_ensemble(points, 10.0, None, QUICK)
-    with pytest.raises(ParameterError):
-        evolve_ensemble(points, -1.0, None, QUICK, source=FrozenSource(1.0, 0.0))
+    for tau in (-1.0, math.inf, math.nan):
+        with pytest.raises(ParameterError):
+            evolve_ensemble(points, tau, None, QUICK, source=FrozenSource(1.0, 0.0))
+        with pytest.raises(ParameterError):
+            evolve_targets(points, (1.0, tau), None, QUICK, source=FrozenSource(1.0, 0.0))
+
+
+@pytest.mark.parametrize(
+    "failure, error", [("raise", ZeroDivisionError), ("die", BrokenProcessPool)]
+)
+def test_failed_shard_fails_the_call(monkeypatch, failure, error):
+    # Two shards; the one in the worker process raises or kills its
+    # process.  Either way the call raises, returns no summary of the
+    # parent's half, and leaves no worker behind.
+    monkeypatch.setattr(ensemble.os, "sched_getaffinity", lambda pid: {0, 1})
+    parent = os.getpid()
+    advance = ensemble._advance_batch
+
+    def failing(*args):
+        if os.getpid() != parent:
+            if failure == "die":
+                os._exit(1)
+            raise ZeroDivisionError("shard failed")
+        return advance(*args)
+
+    monkeypatch.setattr(ensemble, "_advance_batch", failing)
+    points = sample_arrays(2 * SHARD_MIN_ROWS, seed=2)
+    # The call takes about a second; a hang ends the test run with exit
+    # code 1 instead of stalling it.
+    faulthandler.dump_traceback_later(60.0, exit=True)
+    try:
+        with pytest.raises(error):
+            evolve_targets(points, (1.0,), None, QUICK, source=FrozenSource(1.0, 0.0))
+    finally:
+        faulthandler.cancel_dump_traceback_later()
+    assert multiprocessing.active_children() == []
 
 
 # ---------------------------------------------------------------------------

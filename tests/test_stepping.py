@@ -18,10 +18,11 @@ from pilotwave import (
     FrozenSource,
     IntegratorConfig,
     SpatialPoint,
+    ensemble,
     integrate,
 )
-from pilotwave.dynamics import make_batch_rhs
-from pilotwave.ensemble import _advance_batch, sample_arrays
+from pilotwave.dynamics import SPIN_UP, make_batch_rhs
+from pilotwave.ensemble import SHARD_MIN_ROWS, _advance_batch, sample_arrays
 from pilotwave.stepping import dp5_trial
 
 
@@ -138,3 +139,24 @@ def test_one_pass_through_targets_matches_separate_runs(reference_drive, kind):
     assert at_200[3].all() and alone_200[3].all()
     for got, want in zip(at_200[:3], alone_200[:3]):
         _assert_close(got, want, cfg.rel_tol)
+
+
+@pytest.mark.parametrize("kind", ["analytic", "frozen"])
+def test_sharded_states_equal_one_batch_call(reference_drive, monkeypatch, kind):
+    # Two CPUs whatever the machine has, and an odd cloud just above two
+    # shards, so the slices are uneven.  min_step = 1e-3 makes a few
+    # rows drop out, so the masks are checked with both values present.
+    monkeypatch.setattr(ensemble.os, "sched_getaffinity", lambda pid: {0, 1})
+    source = _source(kind, reference_drive)
+    cfg = IntegratorConfig(rel_tol=1e-6, abs_tol=1e-9, min_step=1e-3)
+    cloud = sample_arrays(2 * SHARD_MIN_ROWS + 1, 6)
+    targets = (0.0, 20.0, 20.0, 40.0)
+    assert ensemble._shard_count(len(cloud[0])) == 2
+    sharded = ensemble._advance_sharded(source, SPIN_UP, *cloud, targets, cfg)
+    single = _advance_batch(make_batch_rhs(source), *cloud, targets, cfg)
+    assert len(sharded) == len(single) == len(targets)
+    for got, want in zip(sharded, single):
+        assert len(got) == len(want) == 6
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+    assert not single[-1][3].all()
