@@ -24,7 +24,9 @@ wavefield gradient routines.  guidance_current writes the same algebra
 once in closed form, as the current rho v and the density, on Python
 floats or numpy arrays; make_scalar_rhs (the integrator hot loop),
 make_batch_rhs (trajectory ensembles) and pauli_current all divide its
-output instead of repeating it.
+output instead of repeating it.  make_row_rhs runs make_batch_rhs's
+numpy code on one row's floats, bit for bit, for the ensemble's last
+few rows.
 
 Two eigenstate limits anchor everything: a pure 1s state gives
 dphi/dtau = 8/(3 xi) and a pure 2p0 state gives 4/(3 xi), with
@@ -334,15 +336,13 @@ def _rates(xi, theta, ca2, cb2, tp, im, sz):
     return j_xi / rho, j_theta / (xi * xi * rho), j_phi / (xi * rho), rho
 
 
-def make_batch_rhs(source, *, spin: SpinVector = SPIN_UP):
-    """Vectorized analogue of make_scalar_rhs for ensemble propagation.
+def _numpy_cross(source):
+    """tau -> (ca2, cb2, tp, im) through numpy, for arrays or Python floats.
 
-    Returns f(tau, xi, theta) mapping equal-length arrays to
-    (dxi, dtheta, dphi, rho) arrays.  Axis handling is the caller's
-    job (the batch integrator drops trajectories near the axis), so no
-    guard fires here.
+    Angles are reduced with np.rint, which rounds exactly as np.round
+    does at zero decimals but skips its Python-level wrapper (about
+    5 us per call on a scalar).
     """
-    sz = spin.s_z
     kind = getattr(source, "kind", None)
 
     if kind == "analytic":
@@ -355,7 +355,7 @@ def make_batch_rhs(source, *, spin: SpinVector = SPIN_UP):
             q = rn * sh
             cb2 = q * q
             w = wt * tau
-            w = w - TWO_PI * np.round(w / TWO_PI)
+            w = w - TWO_PI * np.rint(w / TWO_PI)
             cw = np.cos(w)
             sw = np.sin(w)
             tp = -q * (rO * sh * cw + ch * sw)
@@ -369,37 +369,72 @@ def make_batch_rhs(source, *, spin: SpinVector = SPIN_UP):
         m = c1.conjugate() * c2
 
         def cross(tau):
-            w = tau - TWO_PI * np.round(tau / TWO_PI)
+            w = tau - TWO_PI * np.rint(tau / TWO_PI)
             cw = np.cos(w)
             sw = np.sin(w)
             tp = m.real * cw + m.imag * sw
             im = m.imag * cw - m.real * sw
-            shape = np.shape(tau)
-            return (
-                np.broadcast_to(ca2_c, shape),
-                np.broadcast_to(cb2_c, shape),
-                tp,
-                im,
-            )
+            return ca2_c, cb2_c, tp, im
 
     else:
         raise ParameterError(
             "batch propagation supports analytic and frozen sources, got %r"
             % (kind,)
         )
+    return cross
 
-    last = [np.empty(0), None]  # a copy of the last tau and its cross terms
+
+def _numpy_rates(xi, theta, terms, sz):
+    """(dxi, dtheta, dphi, rho) through numpy from the cross terms at tau."""
+    ca2, cb2, tp, im = terms
+    j_xi, j_theta, j_phi, rho = guidance_current(
+        np, xi, theta, np.sin(theta), ca2, cb2, tp, im, sz
+    )
+    return j_xi / rho, j_theta / (xi * xi * rho), j_phi / (xi * rho), rho
+
+
+def make_batch_rhs(source, *, spin: SpinVector = SPIN_UP):
+    """Vectorized analogue of make_scalar_rhs for ensemble propagation.
+
+    Returns f(tau, xi, theta) mapping equal-length arrays to
+    (dxi, dtheta, dphi, rho) arrays.  Axis handling is the caller's
+    job (the batch integrator drops trajectories near the axis), so no
+    guard fires here.
+    """
+    cross = _numpy_cross(source)
+    sz = spin.s_z
+    # A copy of the last tau and its cross terms.  NaN equals nothing,
+    # so the first call always fills it, whatever its length.
+    last = [np.array(math.nan), None]
 
     def rhs(tau, xi, theta):
         # A DP5 trial evaluates its last two stages at the same times;
         # the second evaluation reuses the first one's cross terms.
         if not np.array_equal(tau, last[0]):
             last[0], last[1] = np.array(tau), cross(tau)
-        ca2, cb2, tp, im = last[1]
-        j_xi, j_theta, j_phi, rho = guidance_current(
-            np, xi, theta, np.sin(theta), ca2, cb2, tp, im, sz
-        )
-        return j_xi / rho, j_theta / (xi * xi * rho), j_phi / (xi * rho), rho
+        return _numpy_rates(xi, theta, last[1], sz)
+
+    return rhs
+
+
+def make_row_rhs(source, *, spin: SpinVector = SPIN_UP):
+    """make_batch_rhs for one trajectory, called with Python floats.
+
+    The same numpy arithmetic runs on scalars, so each value equals the
+    batch rhs's value for that row bit for bit; the four results are
+    returned as Python floats, which the caller's arithmetic runs
+    faster on.  The math module would not do: math.exp and np.exp round
+    differently for a few percent of arguments.
+    """
+    cross = _numpy_cross(source)
+    sz = spin.s_z
+    last = [math.nan, None]  # the last tau and its cross terms
+
+    def rhs(tau, xi, theta):
+        if tau != last[0]:
+            last[0], last[1] = tau, cross(tau)
+        dxi, dtheta, dphi, rho = _numpy_rates(xi, theta, last[1], sz)
+        return float(dxi), float(dtheta), float(dphi), float(rho)
 
     return rhs
 

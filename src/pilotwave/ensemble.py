@@ -19,6 +19,16 @@ all arithmetic is elementwise.  A cloud of at least 2 * SHARD_MIN_ROWS
 rows is therefore propagated in contiguous row slices, one process per
 CPU in the affinity mask, and the slices are joined in row order; the
 result is byte-identical for any number of CPUs.
+
+A batch sweep costs a fixed ~0.5 ms of numpy dispatch however few rows
+it steps, and a cloud's last rows to reach a target (those dwelling
+near density nodes) can take hundreds of sweeps on their own.  Once
+fewer than TAIL_ROWS rows are still short of a target, each of them is
+stepped there alone, on Python floats, by a copy of the sweep's step
+control with rates from dynamics.make_row_rhs.  Every scalar operation
+is the one the sweep applies to that row's array element (numpy ufuncs
+round a scalar as they round an array element), so the result is again
+byte-identical, for any TAIL_ROWS and so for any shard size.
 """
 
 from __future__ import annotations
@@ -37,7 +47,7 @@ from .drive import (
     DriveParameters,
     reduce_angle,
 )
-from .dynamics import AXIS_GUARD, SPIN_UP, SpinVector, make_batch_rhs
+from .dynamics import AXIS_GUARD, SPIN_UP, SpinVector, make_batch_rhs, make_row_rhs
 from .engine import IntegratorConfig
 from .errors import ParameterError
 from .observables import expected_energy
@@ -59,6 +69,22 @@ DROPOUT_LIMIT = 1e-3
 # serial wall, 1200 rows 0.93x, 2048 rows 0.71x, 4800 rows 0.76x.  The
 # crossover is near 500 rows per shard; 1024 stays clear of it.
 SHARD_MIN_ROWS = 1024
+
+# Fewest active rows for a batch sweep; below it each remaining row is
+# finished to the segment's target alone (_finish_row), with the same
+# result byte for byte.  A sweep has a fixed numpy dispatch cost: on a
+# 2-core machine (rtol 1e-6, best of 7-15 interleaved runs) a sweep of
+# n rows took 0.455 ms + 0.93 us * n and one row step alone 43 us, so
+# the row loop is the cheaper way up to n = 10 and about even at 11.
+# Both ways take the same steps, so the sweep sizes recorded in a run
+# without the row loop give each threshold's cost of the sweep loop, as
+# a fraction of that run's:
+#
+#   TAIL_ROWS                            4      8      12     16     24
+#   300 rows to 125/250/500 (seeds       0.873  0.837  0.834  0.836  0.845
+#     11-16, median; 0.644-0.966 at 12)
+#   1000 rows to 2000                    0.745  0.711  0.707  0.708  0.731
+TAIL_ROWS = 12
 
 
 class EnsembleDropoutError(ParameterError):
@@ -243,6 +269,7 @@ def _tv(observed, obs_over, expected, exp_over) -> float:
 
 def _advance_batch(
     rhs,
+    row_rhs,
     xi: np.ndarray,
     theta: np.ndarray,
     phi: np.ndarray,
@@ -256,6 +283,11 @@ def _advance_batch(
     memory carry over the landing.  Returns one (xi, theta, phi, ok_mask,
     axis_mask, underflow_mask) per target; the coordinate arrays hold
     values only where ok_mask is set, and drop-outs accumulate.
+
+    rhs is a make_batch_rhs closure.  Once fewer than TAIL_ROWS rows of
+    a segment are still short of its target, each of them is finished
+    alone (_finish_row) with row_rhs, a make_row_rhs closure of the same
+    source; the result is the same, byte for byte.
     """
     n = len(xi)
     t = np.zeros(n)
@@ -278,6 +310,9 @@ def _advance_batch(
 
     states = []
     for tau_target in tau_targets:
+        # A Python float, so that the row loop's scalar arithmetic
+        # promotes exactly as the sweep's array arithmetic does.
+        tau_target = float(tau_target)
         # Stage 1 of each row's next trial (first-same-as-last).  A
         # rejected row keeps its clock and state, and an accepted row's
         # last stage was evaluated at its new clock and state, so after
@@ -291,6 +326,14 @@ def _advance_batch(
         active = alive & (t < tau_target)
         while active.any():
             idx = np.nonzero(active)[0]
+            if idx.size < TAIL_ROWS:
+                with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                    for i in idx.tolist():
+                        _finish_row(
+                            row_rhs, i, tau_target, cfg,
+                            t, (y0, y1, y2), h, err_prev, just_rej, stage1, alive, under_out,
+                        )
+                break
             ti = t[idx]
             hi = np.minimum(h[idx], cfg.max_step)
             rem = tau_target - ti
@@ -376,6 +419,76 @@ def _advance_batch(
     return states
 
 
+def _finish_row(
+    row_rhs, i, tau_target, cfg, t, y, h, err_prev, just_rej, stage1, alive, under_out
+):
+    """Step row i of _advance_batch's state to tau_target on its own.
+
+    This is the sweep of _advance_batch for one row, line for line and
+    in the same operation order, on Python floats and numpy scalars
+    (np.sin and np.power as the sweep has them; err squared by
+    multiplication, as numpy squares an array).  row_rhs gives the batch
+    rhs's values bit for bit, so the row ends exactly where the sweep
+    would have taken it.  The row's clock, state, step, controller memory
+    and stage-1 cache are read from and written back to the arrays
+    every step; the caller holds np.errstate as the sweep does.
+    """
+    y0, y1, y2 = y
+    rtol = cfg.rel_tol
+    atol = cfg.abs_tol
+    while t[i] < tau_target:
+        ti = t.item(i)
+        hi = min(h.item(i), cfg.max_step)
+        rem = tau_target - ti
+        hits = hi >= rem
+        if hits:
+            hi = rem
+        if hi < cfg.min_step:
+            under_out[i] = True
+            alive[i] = False
+            return
+
+        a0 = y0.item(i)
+        a1 = y1.item(i)
+        a2 = y2.item(i)
+        k1 = [k.item(i) for k in stage1]
+        b0, b1, b2, k7, e0, e1, e2 = dp5_trial(row_rhs, ti, hi, a0, a1, a2, k1)
+        # max(b, a) returns a NaN b, as np.maximum would.
+        q0 = e0 / (atol + rtol * max(abs(b0), abs(a0)))
+        q1 = e1 / (atol + rtol * max(abs(b1), abs(a1)))
+        q2 = e2 / (atol + rtol * max(abs(b2), abs(a2)))
+        err = math.sqrt((q0 * q0 + q1 * q1 + q2 * q2) / 3.0)
+        if not math.isfinite(err) or not np.sin(b1) >= AXIS_GUARD:
+            err = math.inf
+
+        if err <= 1.0:
+            t[i] = tau_target if hits else ti + hi
+            y0[i] = b0
+            y1[i] = b1
+            y2[i] = b2
+            for k, k_new in zip(stage1, k7):
+                k[i] = k_new
+            if err == 0.0:
+                fac = MAX_FACTOR
+            else:
+                fac = SAFETY * np.power(max(err, 1e-300), -PI_ALPHA) * np.power(
+                    err_prev.item(i), PI_BETA
+                )
+            fac = min(max(fac, MIN_FACTOR), MAX_FACTOR)
+            if just_rej[i]:
+                fac = min(fac, 1.0)
+            h[i] = hi * fac
+            err_prev[i] = max(err, 1e-4)
+            just_rej[i] = False
+        else:
+            if math.isfinite(err):
+                shrink = max(MIN_FACTOR, SAFETY * np.power(err, -PI_ALPHA))
+            else:
+                shrink = 0.5
+            h[i] = hi * shrink
+            just_rej[i] = True
+
+
 def evolve_ensemble(
     points,
     tau_target: float,
@@ -438,7 +551,17 @@ def evolve_targets(
         theta = np.array([p.theta for p in points])
         phi = np.array([p.phi for p in points])
     else:
-        xi, theta, phi = (np.asarray(a, dtype=float) for a in points)
+        try:
+            xi, theta, phi = (np.asarray(a, dtype=float) for a in points)
+        except (TypeError, ValueError) as exc:
+            raise ParameterError(
+                "points must be SpatialPoints or three (xi, theta, phi) arrays"
+            ) from exc
+    if not (xi.ndim == 1 and xi.size and xi.shape == theta.shape == phi.shape):
+        raise ParameterError(
+            "points must be three equal-length 1-D arrays with at least one point, "
+            "got shapes %r, %r, %r" % (xi.shape, theta.shape, phi.shape)
+        )
     count = len(xi)
     for tau in tau_targets:
         if not 0.0 <= tau < math.inf:
@@ -468,12 +591,14 @@ def _shard_count(n: int) -> int:
 
 
 def _advance_shard(source, spin, xi, theta, phi, tau_targets, cfg):
-    """_advance_batch on one slice of rows, with an rhs built for it.
+    """_advance_batch on one slice of rows, with rhs closures built for it.
 
-    The rhs is a closure with a memo and cannot be pickled, so every
-    process builds its own; the memo reuses only exactly equal values.
+    The closures have memos and cannot be pickled, so every process
+    builds its own; the memos reuse only exactly equal values.
     """
-    return _advance_batch(make_batch_rhs(source, spin=spin), xi, theta, phi, tau_targets, cfg)
+    rhs = make_batch_rhs(source, spin=spin)
+    row_rhs = make_row_rhs(source, spin=spin)
+    return _advance_batch(rhs, row_rhs, xi, theta, phi, tau_targets, cfg)
 
 
 def _advance_sharded(source, spin, xi, theta, phi, tau_targets, cfg):

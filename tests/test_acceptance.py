@@ -302,6 +302,7 @@ def test_criterion_09_gradient_oracle(reference_drive):
     assert result.deviation < 1e-6
 
 
+@pytest.mark.slow
 @pytest.mark.xfail(
     strict=True,
     reason=(

@@ -156,6 +156,7 @@ def test_point_list_matches_array_triple(reference_drive):
     assert np.array_equal(a.observed, b.observed)
 
 
+@pytest.mark.slow
 def test_frozen_superposition_is_equivariant():
     # A frozen 50/50 superposition has no population exchange, so the
     # flow must transport the sampled cloud with the density: the TV
@@ -184,6 +185,7 @@ def test_driven_energy_drift_visible_early(reference_drive):
     assert summary.dropout_count == 0
 
 
+@pytest.mark.slow
 def test_documented_statistics_at_2000(ensemble_run_2000):
     # Documents the tau = 2000 state of the same systematic: the TV
     # distance roughly doubles its baseline and the mean local energy
@@ -200,6 +202,7 @@ def test_documented_statistics_at_2000(ensemble_run_2000):
     assert abs(summary.baseline_divergence - BASELINE_TV_10K) < 1e-9
 
 
+@pytest.mark.slow
 @pytest.mark.xfail(
     strict=True,
     reason=(
@@ -301,6 +304,27 @@ def test_needs_drive_or_source():
             evolve_ensemble(points, tau, None, QUICK, source=FrozenSource(1.0, 0.0))
         with pytest.raises(ParameterError):
             evolve_targets(points, (1.0, tau), None, QUICK, source=FrozenSource(1.0, 0.0))
+
+
+def test_rejects_empty_and_ragged_clouds():
+    xi, theta, phi = sample_arrays(10, seed=1)
+    bad = [
+        [],
+        (np.empty(0),) * 3,
+        (xi, theta[:5], phi),
+        (xi, theta),
+        (xi, theta, phi, phi),
+        (xi[None, :], theta[None, :], phi[None, :]),
+        (1.0, 1.0, 0.0),
+        (xi, [[1.0], [2.0, 3.0]], phi),
+    ]
+    for points in bad:
+        with pytest.raises(ParameterError):
+            evolve_targets(points, (5.0,), None, QUICK, source=FrozenSource(1.0, 0.0))
+    [summary] = evolve_targets(
+        (xi[:1], theta[:1], phi[:1]), (5.0,), None, QUICK, source=FrozenSource(1.0, 0.0)
+    )
+    assert summary.count == 1 and summary.dropout_count == 0
 
 
 @pytest.mark.parametrize(

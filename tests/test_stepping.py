@@ -3,7 +3,9 @@
 stepping.dp5_trial is written once for Python floats (the scalar
 engine) and numpy arrays (the batched ensemble), so the two drivers
 differ only in their step control: they must agree on the same
-trajectories to within their tolerance.
+trajectories to within their tolerance.  The batch driver finishes its
+last few rows one at a time (ensemble.TAIL_ROWS); that row loop must
+give the sweep's result byte for byte.
 """
 
 from __future__ import annotations
@@ -21,8 +23,8 @@ from pilotwave import (
     ensemble,
     integrate,
 )
-from pilotwave.dynamics import SPIN_UP, make_batch_rhs
-from pilotwave.ensemble import SHARD_MIN_ROWS, _advance_batch, sample_arrays
+from pilotwave.dynamics import SPIN_UP, make_batch_rhs, make_row_rhs
+from pilotwave.ensemble import SHARD_MIN_ROWS, TAIL_ROWS, _advance_batch, sample_arrays
 from pilotwave.stepping import dp5_trial
 
 
@@ -60,6 +62,28 @@ def _same(got, want):
         np.testing.assert_array_equal(g, w)
 
 
+def _advance(source, cloud, targets, cfg):
+    return _advance_batch(make_batch_rhs(source), make_row_rhs(source), *cloud, targets, cfg)
+
+
+def _same_bytes(got, want):
+    # Every target's six arrays, drop-out masks included.
+    assert len(got) == len(want)
+    for g_state, w_state in zip(got, want):
+        assert len(g_state) == len(w_state) == 6
+        for g, w in zip(g_state, w_state):
+            assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+
+
+# Each source with the default tail and with TAIL_ROWS = 0, which runs
+# the sweep alone; the ids of the default cases are the plain kind.
+KIND_AND_TAIL = [
+    pytest.param(kind, tail, id=kind if tail else kind + "-sweep_only")
+    for kind in ("analytic", "frozen")
+    for tail in (TAIL_ROWS, 0)
+]
+
+
 def test_last_stage_is_the_rate_at_the_new_state(reference_drive):
     # Both drivers take an accepted step's k7 as the next step's k1, so
     # k7 must be bit for bit what a fresh rhs gives at the new state.
@@ -84,6 +108,27 @@ def test_batch_rhs_reuses_cross_terms_only_at_equal_times(reference_drive):
         _same(rhs(tau, xi, theta), make_batch_rhs(source)(tau, xi, theta))
         # Equal times in a new array: the cached cross terms are exact.
         _same(rhs(tau.copy(), xi, theta), make_batch_rhs(source)(tau, xi, theta))
+        # A first call with no rows has nothing cached to match.
+        empty = make_batch_rhs(source)(np.empty(0), np.empty(0), np.empty(0))
+        assert [k.shape for k in empty] == [(0,)] * 4
+
+
+def test_row_rhs_equals_batch_rhs_bitwise(reference_drive):
+    # The row rhs runs the batch rhs's numpy code on floats; np.sin,
+    # np.exp and friends round a scalar as they round an array element.
+    rng = np.random.default_rng(8)
+    n = 2000
+    tau = rng.uniform(0.0, 9000.0, n)
+    tau[1::2] = tau[::2]  # repeated times go through the row rhs's memo
+    xi = rng.uniform(1e-3, 30.0, n)
+    theta = rng.uniform(1e-6, math.pi - 1e-6, n)
+    for source in _sources(reference_drive):
+        batch = make_batch_rhs(source)(tau, xi, theta)
+        row = make_row_rhs(source)
+        for i in range(n):
+            got = row(float(tau[i]), float(xi[i]), float(theta[i]))
+            assert all(type(g) is float for g in got)
+            assert list(got) == [float(k[i]) for k in batch]
 
 
 def _assert_close(got, want, rtol):
@@ -94,19 +139,18 @@ def _assert_close(got, want, rtol):
     assert np.all(np.abs(np.asarray(got) - np.asarray(want)) <= bound)
 
 
-@pytest.mark.parametrize("kind", ["analytic", "frozen"])
-def test_scalar_and_batch_drivers_agree(reference_drive, kind):
+@pytest.mark.parametrize("kind, tail_rows", KIND_AND_TAIL)
+def test_scalar_and_batch_drivers_agree(reference_drive, monkeypatch, kind, tail_rows):
     # Eight trajectories to tau = 200 at rtol 1e-8.  The output stride
     # equals the span, so the scalar driver lands only on the end point
     # and both drivers choose their own steps freely.  Measured: at most
     # 1.7e-9 (analytic) and 3.3e-9 (frozen) relative to max(|y|, 1).
+    monkeypatch.setattr(ensemble, "TAIL_ROWS", tail_rows)
     source = _source(kind, reference_drive)
     tau = 200.0
     cfg = IntegratorConfig(rel_tol=1e-8, output_stride=tau)
     xi, theta, phi = sample_arrays(8, 5)
-    [(bxi, btheta, bphi, ok, _, _)] = _advance_batch(
-        make_batch_rhs(source), xi, theta, phi, (tau,), cfg
-    )
+    [(bxi, btheta, bphi, ok, _, _)] = _advance(source, (xi, theta, phi), (tau,), cfg)
     assert ok.all()
     for i in range(len(xi)):
         start = SpatialPoint(xi=float(xi[i]), theta=float(theta[i]), phi=float(phi[i]))
@@ -119,18 +163,21 @@ def test_scalar_and_batch_drivers_agree(reference_drive, kind):
         )
 
 
-@pytest.mark.parametrize("kind", ["analytic", "frozen"])
-def test_one_pass_through_targets_matches_separate_runs(reference_drive, kind):
+@pytest.mark.parametrize("kind, tail_rows", KIND_AND_TAIL)
+def test_one_pass_through_targets_matches_separate_runs(
+    reference_drive, monkeypatch, kind, tail_rows
+):
     # Up to the first target one pass is the separate run, bit for bit.
     # Past it the step sequence changes (every row lands on tau = 100),
     # so the later target agrees only to within the drivers' bound.
     # Measured: 0.11 (analytic) and 0.14 (frozen) of rtol * max(|y|, 1).
+    monkeypatch.setattr(ensemble, "TAIL_ROWS", tail_rows)
     source = _source(kind, reference_drive)
     cfg = IntegratorConfig(rel_tol=1e-8)
     cloud = sample_arrays(8, 5)
 
     def run(targets):
-        return _advance_batch(make_batch_rhs(source), *cloud, targets, cfg)
+        return _advance(source, cloud, targets, cfg)
 
     at_100, at_200 = run((100.0, 200.0))
     [alone_100] = run((100.0,))
@@ -153,10 +200,51 @@ def test_sharded_states_equal_one_batch_call(reference_drive, monkeypatch, kind)
     targets = (0.0, 20.0, 20.0, 40.0)
     assert ensemble._shard_count(len(cloud[0])) == 2
     sharded = ensemble._advance_sharded(source, SPIN_UP, *cloud, targets, cfg)
-    single = _advance_batch(make_batch_rhs(source), *cloud, targets, cfg)
-    assert len(sharded) == len(single) == len(targets)
-    for got, want in zip(sharded, single):
-        assert len(got) == len(want) == 6
-        for g, w in zip(got, want):
-            assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+    single = _advance(source, cloud, targets, cfg)
+    assert len(single) == len(targets)
+    _same_bytes(sharded, single)
     assert not single[-1][3].all()
+
+
+@pytest.mark.parametrize("kind", ["analytic", "frozen"])
+def test_row_loop_equals_sweep_bitwise(reference_drive, monkeypatch, kind):
+    # 64 rows, so that with the default TAIL_ROWS one call runs both the
+    # sweep and the row loop.  min_step = 1e-3 makes rows drop out by
+    # step underflow, and two rows start on the axis.  The row loop
+    # alone (TAIL_ROWS above the cloud size) and with the sweep (the
+    # default) must give the sweep alone's bytes.
+    source = _source(kind, reference_drive)
+    cfg = IntegratorConfig(rel_tol=1e-6, abs_tol=1e-9, min_step=1e-3)
+    xi, theta, phi = sample_arrays(64, 21)
+    theta[[5, 40]] = 1e-7
+    targets = (0.0, 20.0, 20.0, 40.0)
+    runs = {}
+    for tail_rows in (0, TAIL_ROWS, 65):
+        monkeypatch.setattr(ensemble, "TAIL_ROWS", tail_rows)
+        batch_rhs = make_batch_rhs(source)
+        row_rhs = make_row_rhs(source)
+        batch_rows = []  # rows of each batch rhs call
+        row_calls = []
+
+        def counted_batch(tau, xi, theta):
+            batch_rows.append(len(xi))
+            return batch_rhs(tau, xi, theta)
+
+        def counted_row(tau, xi, theta):
+            row_calls.append(tau)
+            return row_rhs(tau, xi, theta)
+
+        runs[tail_rows] = _advance_batch(
+            counted_batch, counted_row, xi, theta, phi, targets, cfg
+        )
+        # Each segment starts with one batch call over the whole cloud;
+        # any other batch call is a sweep.
+        sweeps = batch_rows[1:]
+        assert (len(row_calls) > 0) == (tail_rows > 0)
+        if tail_rows == TAIL_ROWS:
+            assert min(sweeps) >= TAIL_ROWS and len(set(sweeps)) > 1
+        elif tail_rows > len(xi):
+            assert set(batch_rows) == {len(xi)}
+        _same_bytes(runs[tail_rows], runs[0])
+    final = runs[0][-1]
+    assert final[4].sum() == 2 and final[5].any() and final[3].sum() < len(xi) - 2
