@@ -284,7 +284,7 @@ def transition_probability(tau, drive: DriveParameters):
 
 
 def transition_probability_scalar(tau: float, drive: DriveParameters) -> float:
-    """|c_b|^2 in plain math, for per-sample calls in the hot loop."""
+    """|c_b|^2 in plain math, for scalar callers."""
     s = math.sin(0.5 * drive.sigma_t * tau)
     return drive.peak_transition_probability * s * s
 
@@ -437,8 +437,9 @@ class AnalyticSource:
     def eval(self, tau: float) -> CoefficientState:
         return coefficients(tau, self.drive)
 
-    def cb_sq(self, tau: float) -> float:
-        return transition_probability_scalar(tau, self.drive)
+    def cb_sq(self, tau):
+        """|c_b|^2 at one time or an array of times."""
+        return transition_probability(tau, self.drive)
 
 
 class FrozenSource:

@@ -22,10 +22,11 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import observables
-from .drive import DriveParameters, reversal_window
+from .drive import DriveParameters, reduce_angle, reversal_window
 from .dynamics import (
     SPIN_UP,
     SpinVector,
+    _numpy_cross,
     make_scalar_rhs,
     surface_constant,
     surface_residual,
@@ -156,15 +157,15 @@ def _integrate_scalar(
     tau_end: float,
     cfg: IntegratorConfig,
     stops: Sequence[float],
-    on_sample: Callable,
 ):
     """DP 5(4) loop over (xi, theta, phi) in plain floats (see dp5_trial).
 
-    Calls on_sample(tau, xi, theta, phi, k) exactly at every stop,
-    where k is the derivative tuple (dxi, dtheta, dphi, rho) evaluated
-    at that state.  Returns (accepted, rejected, min_rho).
+    Lands exactly on every stop and records the state there.  Returns
+    (samples, accepted, rejected, min_rho), where samples holds three
+    lists, the xi, theta and phi of every stop.
     """
     xi, th, ph = state0
+    samples = ([], [], [])
     t = 0.0
     rtol = cfg.rel_tol
     atol = cfg.abs_tol
@@ -178,7 +179,7 @@ def _integrate_scalar(
     si = 0
     n_stops = len(stops)
     if n_stops and stops[0] == 0.0:
-        on_sample(t, xi, th, ph, k1)
+        _record(samples, (xi, th, ph))
         si = 1
 
     # Initial step from the velocity magnitude against the error scale.
@@ -267,14 +268,89 @@ def _integrate_scalar(
             err_prev = max(err, 1e-4)
             just_rejected = False
             if si < n_stops and t >= stops[si]:
-                on_sample(t, xi, th, ph, k1)
+                _record(samples, (xi, th, ph))
                 si += 1
         else:
             h = h_try * max(MIN_FACTOR, SAFETY * err ** (-PI_ALPHA))
             just_rejected = True
             n_rej += 1
 
-    return n_acc, n_rej, min_rho
+    return samples, n_acc, n_rej, min_rho
+
+
+def _record(samples, state):
+    for column, value in zip(samples, state):
+        column.append(value)
+
+
+def _sample_columns(rhs, source, config, invariant, tau, samples) -> dict:
+    """Every TrajectoryResult column from the sampled states, in array passes.
+
+    The rates come from one rhs call per sample; the local energy,
+    population and surface residual from array kernels over all of them.
+    """
+    xs, ths, phs = samples
+    rates = np.empty((len(tau), 4))
+    for i, (t, x, th, ph) in enumerate(zip(tau.tolist(), xs, ths, phs)):
+        try:
+            rates[i] = rhs(t, x, th)
+        except AxisProximityError as exc:
+            exc.tau = t
+            exc.state = (x, th, ph)
+            raise
+    xi = np.array(xs)
+    theta = np.array(ths)
+    ca2, cb2, tp, cb_sq = _amplitude_terms(source, tau)
+    energy, clipped = observables.local_energy_array(
+        xi,
+        theta,
+        tau,
+        ca2,
+        cb2,
+        tp,
+        source.drive if source.is_driven else None,
+        rho_floor=config.rho_floor,
+    )
+    return {
+        "tau": tau,
+        "xi": xi,
+        "theta": theta,
+        "phi": np.array(phs),
+        "dxi": rates[:, 0],
+        "dtheta": rates[:, 1],
+        "dphi": rates[:, 2],
+        "energy_eV": energy,
+        "cb_sq": cb_sq,
+        "surface_residual": surface_residual(xi, theta, invariant),
+        "rho": rates[:, 3],
+        "clipped": clipped,
+    }
+
+
+def _amplitude_terms(source, tau):
+    """(ca2, cb2, tp, cb_sq) arrays at the sample times.
+
+    ca2 = |c_a|^2, cb2 = |c_b|^2 and tp = Re{c_a* c_b e^(-i tau)} feed
+    the local energy; cb_sq is the population that source.cb_sq reports.
+    The closed-form sources give them through numpy (the cross terms are
+    the batch rhs's); any other source is evaluated one sample at a
+    time, as its scalar rhs does, and there cb_sq is cb2.
+    """
+    if getattr(source, "kind", None) in ("analytic", "frozen"):
+        ca2, cb2, tp, _ = _numpy_cross(source)(tau)
+        return ca2, cb2, tp, np.zeros(len(tau)) + source.cb_sq(tau)
+    terms = np.empty((3, len(tau)))
+    for i, t in enumerate(tau.tolist()):
+        state = source.eval(t)
+        ca, cb = state.c_a, state.c_b
+        m = ca.conjugate() * cb
+        w = reduce_angle(t)
+        terms[:, i] = (
+            ca.real * ca.real + ca.imag * ca.imag,
+            state.cb_sq,
+            m.real * math.cos(w) + m.imag * math.sin(w),
+        )
+    return terms[0], terms[1], terms[2], terms[1]
 
 
 def _drive_dict(drive: Optional[DriveParameters]) -> Optional[dict]:
@@ -344,59 +420,15 @@ def integrate(
     rhs = make_scalar_rhs(source, spin=spin)
     invariant = surface_constant(initial.xi, initial.theta)
     drive = source.drive
-    stops = [float(s) for s in _sample_grid(tau_max, config.output_stride)]
-
-    cols = {
-        "tau": [],
-        "xi": [],
-        "theta": [],
-        "phi": [],
-        "dxi": [],
-        "dtheta": [],
-        "dphi": [],
-        "energy_eV": [],
-        "cb_sq": [],
-        "surface_residual": [],
-        "rho": [],
-        "clipped": [],
-    }
-    include_drive = drive if source.is_driven else None
-
-    def on_sample(tau, xi, th, ph, k):
-        cols["tau"].append(tau)
-        cols["xi"].append(xi)
-        cols["theta"].append(th)
-        cols["phi"].append(ph)
-        cols["dxi"].append(k[0])
-        cols["dtheta"].append(k[1])
-        cols["dphi"].append(k[2])
-        point = SpatialPoint(xi=xi, theta=th, phi=ph)
-        energy = observables.local_energy(
-            point,
-            tau,
-            source.eval(tau),
-            include_drive,
-            rho_floor=config.rho_floor,
-        )
-        cols["energy_eV"].append(energy.total_eV)
-        cols["clipped"].append(energy.clipped)
-        cols["cb_sq"].append(source.cb_sq(tau))
-        cols["surface_residual"].append(surface_residual(xi, th, invariant))
-        cols["rho"].append(k[3])
-
-    n_acc, n_rej, min_rho = _integrate_scalar(
+    tau = _sample_grid(tau_max, config.output_stride)
+    samples, n_acc, n_rej, min_rho = _integrate_scalar(
         rhs,
         (initial.xi, initial.theta, initial.phi),
         tau_max,
         config,
-        stops,
-        on_sample,
+        tau.tolist(),
     )
-
-    columns = {
-        key: np.array(vals, dtype=(bool if key == "clipped" else float))
-        for key, vals in cols.items()
-    }
+    columns = _sample_columns(rhs, source, config, invariant, tau, samples)
     manifest = RunManifest(
         version=VERSION_TAG,
         drive=_drive_dict(drive),

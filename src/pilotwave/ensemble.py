@@ -50,9 +50,9 @@ from .drive import (
 from .dynamics import AXIS_GUARD, SPIN_UP, SpinVector, make_batch_rhs, make_row_rhs
 from .engine import IntegratorConfig
 from .errors import ParameterError
-from .observables import expected_energy
+from .observables import expected_energy, local_energy_array
 from .stepping import MAX_FACTOR, MIN_FACTOR, PI_ALPHA, PI_BETA, SAFETY, dp5_trial
-from .wavefield import N1, N2, SpatialPoint, density
+from .wavefield import SpatialPoint, density
 
 DEFAULT_SEED = 20260819
 XI_MAX_BIN = 12.0
@@ -645,8 +645,18 @@ def _summarize(tau_target, state, source, config, baseline, seed, bins) -> Ensem
 
     # Mean local energy over the surviving, unclipped trajectories.
     include_drive = source.drive if source.is_driven else None
-    energies, clipped = _energy_batch(
-        xf[ok], tf[ok], tau_target, coeffs, include_drive, config.rho_floor
+    ca, cb = coeffs.c_a, coeffs.c_b
+    w = reduce_angle(tau_target)
+    m = ca.conjugate() * cb * complex(math.cos(w), -math.sin(w))
+    energies, clipped = local_energy_array(
+        xf[ok],
+        tf[ok],
+        tau_target,
+        abs(ca) ** 2,
+        abs(cb) ** 2,
+        m.real,
+        include_drive,
+        rho_floor=config.rho_floor,
     )
     use = ~clipped
     n_use = int(use.sum())
@@ -681,33 +691,3 @@ def _summarize(tau_target, state, source, config, baseline, seed, bins) -> Ensem
         dropout_underflow=int(under_out.sum()),
     )
 
-
-def _energy_batch(
-    xi: np.ndarray,
-    theta: np.ndarray,
-    tau: float,
-    coeffs: CoefficientState,
-    drive: Optional[DriveParameters],
-    rho_floor: float,
-):
-    """Vectorized local energy; returns (energies, clipped_mask)."""
-    E1_ = CODATA.E1_eV
-    E2_ = CODATA.E2_eV
-    ct = np.cos(theta)
-    u1 = N1 * np.exp(-xi)
-    u2 = N2 * xi * np.exp(-0.5 * xi) * ct
-    ca, cb = coeffs.c_a, coeffs.c_b
-    phase = complex(math.cos(reduce_angle(tau)), -math.sin(reduce_angle(tau)))
-    m = ca.conjugate() * cb * phase
-    ca2 = abs(ca) ** 2
-    cb2 = abs(cb) ** 2
-    rho = ca2 * u1 * u1 + cb2 * u2 * u2 + 2.0 * m.real * u1 * u2
-    num = E1_ * ca2 * u1 * u1 + E2_ * cb2 * u2 * u2 + (E1_ + E2_) * m.real * u1 * u2
-    clipped = rho < rho_floor
-    h0 = np.where(clipped, np.copysign(1000.0, num), num / np.where(clipped, 1.0, rho))
-    if drive is not None:
-        w = reduce_angle(drive.omega_t * tau)
-        h0 = h0 + np.where(
-            clipped, 0.0, -0.5 * drive.field_energy_eV * xi * ct * math.cos(w)
-        )
-    return h0, clipped

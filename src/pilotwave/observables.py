@@ -117,6 +117,49 @@ def local_energy(
     )
 
 
+def local_energy_array(
+    xi,
+    theta,
+    tau,
+    ca2,
+    cb2,
+    tp,
+    drive: Optional[DriveParameters] = None,
+    *,
+    constants: PhysicalConstants = CODATA,
+    rho_floor: float = RHO_FLOOR,
+):
+    """Local energies at many points in the real envelope form.
+
+    ca2 = |c_a|^2, cb2 = |c_b|^2 and tp = Re{c_a* c_b e^(-i tau)}, so
+
+        rho = ca2 u1^2 + cb2 u2^2 + 2 tp u1 u2,
+        h0 = (E1 ca2 u1^2 + E2 cb2 u2^2 + (E1 + E2) tp u1 u2) / rho.
+
+    tau and the three amplitude terms are either scalars (one time for
+    a whole cloud) or arrays (one time per point, along a trajectory).
+    The field term is added when drive is given.  Returns (energy_eV,
+    clipped): below rho_floor the energy is the clip sentinel, as in
+    local_energy, and carries no field term.
+    """
+    E1 = constants.E1_eV
+    E2 = constants.E2_eV
+    ct = np.cos(theta)
+    u1 = N1 * np.exp(-xi)
+    u2 = N2 * xi * np.exp(-0.5 * xi) * ct
+    rho = ca2 * u1 * u1 + cb2 * u2 * u2 + 2.0 * tp * u1 * u2
+    num = E1 * ca2 * u1 * u1 + E2 * cb2 * u2 * u2 + (E1 + E2) * tp * u1 * u2
+    clipped = rho < rho_floor
+    h0 = np.where(
+        clipped, np.copysign(ENERGY_CLIP_EV, num), num / np.where(clipped, 1.0, rho)
+    )
+    if drive is not None:
+        w = reduce_angle(drive.omega_t * tau)
+        cw = np.cos(w) if isinstance(w, np.ndarray) else math.cos(w)
+        h0 = h0 + np.where(clipped, 0.0, -0.5 * drive.field_energy_eV * xi * ct * cw)
+    return h0, clipped
+
+
 def local_energy_envelope_route(
     point: SpatialPoint,
     tau: float,
