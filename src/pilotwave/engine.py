@@ -2,10 +2,13 @@
 
 integrate() advances one electron from its initial point with the
 shared Dormand-Prince 5(4) pair (see stepping), keeping the state in
-plain floats and landing exactly on every output-stride multiple, where
-it records a full sample row: position, the analytic velocity at that
-instant, local energy, upper-level population, invariant-surface
-residual and density.  phi accumulates without wrapping.
+plain floats.  It steps freely, lands only on tau_max, and takes the
+state at every output-stride multiple from the continuous extension of
+the step that passes it, so the step sequence does not depend on the
+stride.  After the loop it derives the full sample rows: the analytic
+velocity and density from one rhs call per sample, and the local
+energy, upper-level population and invariant-surface residual in array
+passes.  phi accumulates without wrapping.
 
 Runs are deterministic: the same inputs produce bitwise-identical
 sample arrays and manifests (timestamps excluded), which the test suite
@@ -32,7 +35,16 @@ from .dynamics import (
     surface_residual,
 )
 from .errors import AxisProximityError, IntegrationError, ParameterError
-from .stepping import MAX_FACTOR, MIN_FACTOR, PI_ALPHA, PI_BETA, SAFETY, dp5_trial
+from .stepping import (
+    MAX_FACTOR,
+    MIN_FACTOR,
+    PI_ALPHA,
+    PI_BETA,
+    SAFETY,
+    dense_state,
+    dp5_dense,
+    dp5_trial,
+)
 from .wavefield import SpatialPoint
 
 VERSION_TAG = "pilotwave 0.1.0"
@@ -160,9 +172,13 @@ def _integrate_scalar(
 ):
     """DP 5(4) loop over (xi, theta, phi) in plain floats (see dp5_trial).
 
-    Lands exactly on every stop and records the state there.  Returns
-    (samples, accepted, rejected, min_rho), where samples holds three
-    lists, the xi, theta and phi of every stop.
+    Steps freely and lands only on tau_end.  The state at each stop
+    (sorted, within [0, tau_end]) is the accepted step's own where the
+    step ends on it, and otherwise comes from the continuous extension
+    of the step that passes it (dp5_dense), so the steps taken do not
+    depend on the stops.  Returns (samples, accepted, rejected,
+    min_rho), where samples holds three lists, the xi, theta and phi of
+    every stop.
     """
     xi, th, ph = state0
     samples = ([], [], [])
@@ -196,21 +212,17 @@ def _integrate_scalar(
     dwell_warned = False
 
     while t < tau_end:
-        target = stops[si] if si < n_stops else tau_end
-        if target <= t:
-            si += 1
-            continue
         h_try = min(h, cfg.max_step)
-        hits_target = h_try >= target - t
-        if hits_target:
-            h_try = target - t
+        lands = h_try >= tau_end - t
+        if lands:
+            h_try = tau_end - t
         if h_try < cfg.min_step:
             raise IntegrationError(
                 "step size underflow at tau=%r" % (t,), tau=t, state=(xi, th, ph)
             )
 
         try:
-            xi_new, th_new, ph_new, k7, e_xi, e_th, e_ph = dp5_trial(
+            xi_new, th_new, ph_new, k7, e_xi, e_th, e_ph, stages = dp5_trial(
                 rhs, t, h_try, xi, th, ph, k1
             )
         except AxisProximityError as exc:
@@ -238,7 +250,13 @@ def _integrate_scalar(
             n_rej += 1
             continue
         if err <= 1.0:
-            t = target if hits_target else t + h_try
+            t_new = tau_end if lands else t + h_try
+            if si < n_stops and stops[si] <= t_new:
+                si = _record_passed(
+                    samples, stops, si, t, h_try, (xi, th, ph), stages, t_new,
+                    (xi_new, th_new, ph_new),
+                )
+            t = t_new
             xi, th, ph = xi_new, th_new, ph_new
             k1 = k7
             n_acc += 1
@@ -267,9 +285,6 @@ def _integrate_scalar(
             h = h_try * factor
             err_prev = max(err, 1e-4)
             just_rejected = False
-            if si < n_stops and t >= stops[si]:
-                _record(samples, (xi, th, ph))
-                si += 1
         else:
             h = h_try * max(MIN_FACTOR, SAFETY * err ** (-PI_ALPHA))
             just_rejected = True
@@ -281,6 +296,23 @@ def _integrate_scalar(
 def _record(samples, state):
     for column, value in zip(samples, state):
         column.append(value)
+
+
+def _record_passed(samples, stops, si, t, h, state, stages, t_new, state_new):
+    """Record the stops from stops[si] up to t_new; returns the next index.
+
+    The step went from (t, state) to (t_new, state_new) with size h.
+    """
+    polys = None
+    while si < len(stops) and stops[si] <= t_new:
+        if stops[si] == t_new:
+            _record(samples, state_new)
+        else:
+            if polys is None:
+                polys = dp5_dense(h, state, stages)
+            _record(samples, dense_state(polys, (stops[si] - t) / h))
+        si += 1
+    return si
 
 
 def _sample_columns(rhs, source, config, invariant, tau, samples) -> dict:

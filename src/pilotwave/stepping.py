@@ -8,7 +8,9 @@ One tableau, one PI controller, two pieces of stepping code:
   ensemble.py runs it on numpy arrays with per-trajectory clocks and
   step sizes.  Each loop keeps its own error norm, step control, stop
   landing and failure accounting; both reuse an accepted step's last
-  stage as the next step's first (first-same-as-last).
+  stage as the next step's first (first-same-as-last).  The scalar
+  loop samples between its steps with dp5_dense, which builds the
+  step's continuous extension from the stages dp5_trial returns.
 * integrate_array below, a generic driver for small numpy state vectors
   (used for the amplitude ODE cross-check).
 
@@ -63,6 +65,31 @@ E5 = -17253.0 / 339200.0
 E6 = 22.0 / 525.0
 E7 = -1.0 / 40.0
 
+# Dense output: the step's quartic continuous extension (Dormand &
+# Prince 1986; Hairer, Norsett & Wanner, Solving ODEs I, II.6), written
+# in powers of x = (s - t) / h as
+#     y(s) = y + h x (k1 + x (d2 + x (d3 + x d4))),
+# where dj sums the stages with the weights Dij of stage i (stage 2 has
+# weight zero).  These are the values of Hairer's DOPRI5.
+D12 = -8048581381.0 / 2820520608.0
+D13 = 8663915743.0 / 2820520608.0
+D14 = -12715105075.0 / 11282082432.0
+D32 = 131558114200.0 / 32700410799.0
+D33 = -68118460800.0 / 10900136933.0
+D34 = 87487479700.0 / 32700410799.0
+D42 = -1754552775.0 / 470086768.0
+D43 = 14199869525.0 / 1410260304.0
+D44 = -10690763975.0 / 1880347072.0
+D52 = 127303824393.0 / 49829197408.0
+D53 = -318862633887.0 / 49829197408.0
+D54 = 701980252875.0 / 199316789632.0
+D62 = -282668133.0 / 205662961.0
+D63 = 2019193451.0 / 616988883.0
+D64 = -1453857185.0 / 822651844.0
+D72 = 40617522.0 / 29380423.0
+D73 = -110615467.0 / 29380423.0
+D74 = 69997945.0 / 29380423.0
+
 SAFETY = 0.9
 MIN_FACTOR = 0.2
 MAX_FACTOR = 5.0
@@ -79,10 +106,12 @@ def dp5_trial(rhs, t, h, xi, theta, phi, k1):
     argument may be a Python float or an equal-length numpy array: the
     step is written once, in one operation order, for both.
 
-    Returns (xi_new, theta_new, phi_new, k7, e_xi, e_theta, e_phi): the
-    fifth-order state, rhs evaluated there (stage 1 of the next step
-    under first-same-as-last) and the embedded error of each component.
-    The last two stages are evaluated at one shared time object, t + h.
+    Returns (xi_new, theta_new, phi_new, k7, e_xi, e_theta, e_phi,
+    stages): the fifth-order state, rhs evaluated there (stage 1 of the
+    next step under first-same-as-last), the embedded error of each
+    component, and the stages (k1, k3, k4, k5, k6, k7) that dp5_dense
+    needs.  The last two stages are evaluated at one shared time
+    object, t + h.
     """
     k2 = rhs(t + C2 * h, xi + h * (A21 * k1[0]), theta + h * (A21 * k1[1]))
     k3 = rhs(
@@ -122,7 +151,37 @@ def dp5_trial(rhs, t, h, xi, theta, phi, k1):
     e_phi = h * (
         E1 * k1[2] + E3 * k3[2] + E4 * k4[2] + E5 * k5[2] + E6 * k6[2] + E7 * k7[2]
     )
-    return xi_new, theta_new, phi_new, k7, e_xi, e_theta, e_phi
+    return xi_new, theta_new, phi_new, k7, e_xi, e_theta, e_phi, (k1, k3, k4, k5, k6, k7)
+
+
+def dp5_dense(h, state, stages):
+    """Coefficients of an accepted step's continuous extension.
+
+    state is the step's starting (xi, theta, phi) and stages the last
+    element of its dp5_trial result.  Returns, per component, the
+    polynomial (y, p1, p2, p3, p4) for dense_state; it is fourth-order
+    accurate in between and meets the fifth-order state at x = 1 to
+    rounding.
+    """
+    k1, k3, k4, k5, k6, k7 = stages
+    polys = []
+    for c, y in enumerate(state):
+        a1, a3, a4, a5, a6, a7 = k1[c], k3[c], k4[c], k5[c], k6[c], k7[c]
+        polys.append(
+            (
+                y,
+                h * a1,
+                h * (D12 * a1 + D32 * a3 + D42 * a4 + D52 * a5 + D62 * a6 + D72 * a7),
+                h * (D13 * a1 + D33 * a3 + D43 * a4 + D53 * a5 + D63 * a6 + D73 * a7),
+                h * (D14 * a1 + D34 * a3 + D44 * a4 + D54 * a5 + D64 * a6 + D74 * a7),
+            )
+        )
+    return polys
+
+
+def dense_state(polys, x):
+    """The state at t + x h, 0 <= x <= 1, from dp5_dense's polynomials."""
+    return tuple(y + x * (p1 + x * (p2 + x * (p3 + x * p4))) for y, p1, p2, p3, p4 in polys)
 
 
 def initial_step(f, t0, y0, k1, t_end, rtol, atol, max_step):

@@ -1,9 +1,10 @@
 """Trajectory engine: sampling contract, determinism, error handling.
 
 The integrator is an adaptive embedded Runge-Kutta pair with PI step
-control.  Runs sample on an exact stride grid (landing on each multiple
-bit for bit), record the analytic velocity at the sample instant, and
-are bitwise reproducible.  Long driven spans show sensitive dependence
+control.  Runs sample on an exact stride grid (filled from each step's
+continuous extension, so the steps do not depend on the stride), record
+the analytic velocity at the sample instant, and are bitwise
+reproducible.  Long driven spans show sensitive dependence
 after the flopping peak, which is documented rather than hidden: the
 final state converges fast on short spans and only slowly in norm on
 the full span.
@@ -44,6 +45,25 @@ def test_sample_grid_is_exact_stride_multiples(reference_drive):
     )
     np.testing.assert_array_equal(result.tau, np.arange(41) * 2.5)
     assert result.tau[-1] == 100.0
+
+
+def test_step_sequence_does_not_depend_on_the_stride(reference_drive):
+    # The driver lands only on tau_max and fills the stride grid from
+    # each step's continuous extension, so a stride of 1 and a stride of
+    # the whole span take the same steps (measured: 742 accepted, 9
+    # rejected) and end on the same row, bit for bit in every column.
+    start = SpatialPoint(xi=4.0, theta=1.0)
+    source = AnalyticSource(reference_drive)
+    every = integrate(start, 300.0, source, IntegratorConfig(output_stride=1.0))
+    ends = integrate(start, 300.0, source, IntegratorConfig(output_stride=300.0))
+    assert len(every) == 301 and len(ends) == 2
+    for key in ("steps_accepted", "steps_rejected", "min_rho"):
+        assert every.manifest.stats[key] == ends.manifest.stats[key]
+    for name in (
+        "tau", "xi", "theta", "phi", "dxi", "dtheta", "dphi",
+        "energy_eV", "cb_sq", "surface_residual", "rho", "clipped",
+    ):
+        assert getattr(every, name)[-1:].tobytes() == getattr(ends, name)[-1:].tobytes()
 
 
 def test_tau_span_pair_form(reference_drive):

@@ -1,4 +1,5 @@
-"""The shared Dormand-Prince trial step and the two drivers built on it.
+"""The shared Dormand-Prince trial step, its dense output, and the two
+drivers built on them.
 
 stepping.dp5_trial is written once for Python floats (the scalar
 engine) and numpy arrays (the batched ensemble), so the two drivers
@@ -23,9 +24,9 @@ from pilotwave import (
     ensemble,
     integrate,
 )
-from pilotwave.dynamics import SPIN_UP, make_batch_rhs, make_row_rhs
+from pilotwave.dynamics import SPIN_UP, make_batch_rhs, make_row_rhs, make_scalar_rhs
 from pilotwave.ensemble import SHARD_MIN_ROWS, TAIL_ROWS, _advance_batch, sample_arrays
-from pilotwave.stepping import dp5_trial
+from pilotwave.stepping import dense_state, dp5_dense, dp5_trial
 
 
 def _arith_rhs(t, x, y):
@@ -44,6 +45,65 @@ def test_trial_step_bitwise_equal_on_floats_and_arrays():
         assert batch[i][0] == scalar[i]
     for got, want in zip(batch[3], scalar[3]):
         assert got[0] == want
+
+
+def test_dense_output_ends_on_the_fifth_order_state(reference_drive):
+    # At x = 0 the interpolant is the step's start exactly; at x = 1 it
+    # sums the same stages in another grouping, so it meets the
+    # fifth-order state to rounding.  Bound: 4 ulp of max(|y|, 1);
+    # measured: at most 1.
+    rhs = make_scalar_rhs(AnalyticSource(reference_drive))
+    for t, h, state in (
+        (40.0, 0.4, (4.0, 1.0, 0.3)),
+        (1234.5, 0.9, (2.5, 0.7, -12.0)),
+        (7000.0, 0.05, (9.0, 2.2, 100.0)),
+    ):
+        trial = dp5_trial(rhs, t, h, *state, rhs(t, state[0], state[1]))
+        polys = dp5_dense(h, state, trial[7])
+        assert dense_state(polys, 0.0) == state
+        for got, want in zip(dense_state(polys, 1.0), trial[:3]):
+            assert abs(got - want) <= 4.0 * np.spacing(max(abs(want), 1.0))
+
+
+def test_dense_output_reproduces_quartic_solutions():
+    # The continuous extension has order 4, so on y' = f(t) with f a
+    # cubic it is exact in between as well: only rounding remains.
+    # Measured: 4.4e-16; with a fifth-degree term it misses by 1.3e-4.
+    coeffs = np.array([[1.5, -0.4, 0.3, 0.2, -0.05], [0.2, 1.0, -0.6, 0.1, 0.03],
+                       [-2.0, 0.5, 0.25, -0.3, 0.07]])
+    exact = [np.polynomial.Polynomial(c) for c in coeffs]
+    rates = [p.deriv() for p in exact]
+
+    def rhs(t, x, y):
+        return rates[0](t), rates[1](t), rates[2](t), 1.0
+
+    t, h = 0.7, 0.9
+    state = tuple(p(t) for p in exact)
+    trial = dp5_trial(rhs, t, h, *state, rhs(t, *state[:2]))
+    polys = dp5_dense(h, state, trial[7])
+    for x in (0.1, 0.25, 0.5, 0.8, 1.0):
+        for got, p in zip(dense_state(polys, x), exact):
+            assert abs(got - p(t + x * h)) < 1e-14
+
+
+def test_dense_samples_match_a_tight_run_landing_there(reference_drive):
+    # Samples at rtol 1e-8 come from the interpolant; a run at rtol
+    # 1e-12 that ends at the sample time lands on it.  The bound is
+    # _assert_close's ten tolerances; measured: at most 1.3.
+    source = AnalyticSource(reference_drive)
+    start = SpatialPoint(xi=4.0, theta=1.0)
+    cfg = IntegratorConfig(rel_tol=1e-8, output_stride=0.25)
+    run = integrate(start, 300.0, source, cfg)
+    tight = IntegratorConfig(rel_tol=1e-12, abs_tol=1e-14)
+    for tau in (37.25, 101.75, 233.5, 299.75):
+        i = int(round(tau / cfg.output_stride))
+        assert run.tau[i] == tau
+        ref = integrate(start, tau, source, tight)
+        _assert_close(
+            (run.xi[i], run.theta[i], run.phi[i]),
+            (ref.xi[-1], ref.theta[-1], ref.phi[-1]),
+            cfg.rel_tol,
+        )
 
 
 def _source(kind, drive):
@@ -93,7 +153,7 @@ def test_last_stage_is_the_rate_at_the_new_state(reference_drive):
     for source in _sources(reference_drive):
         rhs = make_batch_rhs(source)
         k1 = rhs(t, xi, theta)
-        xi_new, theta_new, _, k7, _, _, _ = dp5_trial(rhs, t, h, xi, theta, phi, k1)
+        xi_new, theta_new, _, k7 = dp5_trial(rhs, t, h, xi, theta, phi, k1)[:4]
         _same(k7, make_batch_rhs(source)(t + h, xi_new, theta_new))
 
 
