@@ -162,6 +162,11 @@ def _write_trajectory_csv(path: str, result) -> None:
 # ---------------------------------------------------------------------------
 
 
+# EnsembleSummary.to_dict() keys that ensemble_summary.json gives once
+# for the run, or in histogram.csv, instead of in every target.
+RUN_KEYS = ("count", "seed", "bins", "observed", "expected")
+
+
 def cmd_ensemble(args) -> int:
     cfg = _resolve_config(args)
     out = _out_dir(args, cfg)
@@ -194,20 +199,7 @@ def cmd_ensemble(args) -> int:
             "seed": cfg.seed,
             "bins": cfg.bins,
             "targets": [
-                {
-                    "tau_target": s.tau_target,
-                    "divergence": s.divergence,
-                    "baseline_divergence": s.baseline_divergence,
-                    "observed_overflow": s.observed_overflow,
-                    "expected_overflow": s.expected_overflow,
-                    "mean_energy_eV": s.mean_energy_eV,
-                    "se_energy_eV": s.se_energy_eV,
-                    "expected_energy_eV": s.expected_energy_eV,
-                    "clipped_count": s.clipped_count,
-                    "dropout_count": s.dropout_count,
-                    "dropout_axis": s.dropout_axis,
-                    "dropout_underflow": s.dropout_underflow,
-                }
+                {k: v for k, v in s.to_dict().items() if k not in RUN_KEYS}
                 for s in targets
             ],
         }
