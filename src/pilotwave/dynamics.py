@@ -278,19 +278,24 @@ def make_scalar_rhs(
         return rhs
 
     def rhs(tau, xi, theta):
-        state = source.eval(tau)
-        ca, cb = state.c_a, state.c_b
-        ca2 = ca.real * ca.real + ca.imag * ca.imag
-        cb2 = cb.real * cb.real + cb.imag * cb.imag
-        m = ca.conjugate() * cb
-        w = tau - TWO_PI * round(tau / TWO_PI)
-        cw = math.cos(w)
-        sw = math.sin(w)
-        tp = m.real * cw + m.imag * sw
-        im = m.imag * cw - m.real * sw
-        return _rates(xi, theta, ca2, cb2, tp, im, sz)
+        return _rates(xi, theta, *_eval_cross(source, tau), sz)
 
     return rhs
+
+
+def _eval_cross(source, tau):
+    """(ca2, cb2, tp, im) at one time through source.eval, in plain floats."""
+    state = source.eval(tau)
+    ca, cb = state.c_a, state.c_b
+    ca2 = ca.real * ca.real + ca.imag * ca.imag
+    cb2 = cb.real * cb.real + cb.imag * cb.imag
+    m = ca.conjugate() * cb
+    w = tau - TWO_PI * round(tau / TWO_PI)
+    cw = math.cos(w)
+    sw = math.sin(w)
+    tp = m.real * cw + m.imag * sw
+    im = m.imag * cw - m.real * sw
+    return ca2, cb2, tp, im
 
 
 def guidance_current(xp, xi, theta, sn, ca2, cb2, tp, im, sz):

@@ -25,10 +25,11 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import observables
-from .drive import DriveParameters, reduce_angle, reversal_window
+from .drive import DriveParameters, reversal_window
 from .dynamics import (
     SPIN_UP,
     SpinVector,
+    _eval_cross,
     _numpy_cross,
     make_scalar_rhs,
     surface_constant,
@@ -362,27 +363,19 @@ def _sample_columns(rhs, source, config, invariant, tau, samples) -> dict:
 def _amplitude_terms(source, tau):
     """(ca2, cb2, tp, cb_sq) arrays at the sample times.
 
-    ca2 = |c_a|^2, cb2 = |c_b|^2 and tp = Re{c_a* c_b e^(-i tau)} feed
-    the local energy; cb_sq is the population that source.cb_sq reports.
-    The closed-form sources give them through numpy (the cross terms are
-    the batch rhs's); any other source is evaluated one sample at a
-    time, as its scalar rhs does, and there cb_sq is cb2.
+    ca2 = |c_a|^2, cb2 = |c_b|^2 and tp = Re{c_a* c_b e^(-i tau)} are
+    the cross terms of the guidance law and feed the local energy.  The
+    closed-form sources give them through numpy, and cb_sq through
+    source.cb_sq; any other source goes one sample at a time through
+    _eval_cross, as its scalar rhs does, and reports cb2 as cb_sq.
     """
     if getattr(source, "kind", None) in ("analytic", "frozen"):
         ca2, cb2, tp, _ = _numpy_cross(source)(tau)
         return ca2, cb2, tp, np.zeros(len(tau)) + source.cb_sq(tau)
-    terms = np.empty((3, len(tau)))
+    terms = np.empty((len(tau), 4))
     for i, t in enumerate(tau.tolist()):
-        state = source.eval(t)
-        ca, cb = state.c_a, state.c_b
-        m = ca.conjugate() * cb
-        w = reduce_angle(t)
-        terms[:, i] = (
-            ca.real * ca.real + ca.imag * ca.imag,
-            state.cb_sq,
-            m.real * math.cos(w) + m.imag * math.sin(w),
-        )
-    return terms[0], terms[1], terms[2], terms[1]
+        terms[i] = _eval_cross(source, t)
+    return terms[:, 0], terms[:, 1], terms[:, 2], terms[:, 1]
 
 
 def _drive_dict(drive: Optional[DriveParameters]) -> Optional[dict]:
