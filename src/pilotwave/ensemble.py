@@ -364,7 +364,9 @@ def _advance_batch(
             # warnings carry no information.
             with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
                 k1 = [k[idx] for k in stage1]
-                b0, b1, b2, k7, e0, e1, e2, _ = dp5_trial(rhs, ti, hi, a0, a1, a2, k1)
+                # The slice drops the stages at once, so their arrays are
+                # freed before the next trial allocates its own.
+                b0, b1, b2, k7, e0, e1, e2 = dp5_trial(rhs, ti, hi, a0, a1, a2, k1)[:7]
                 s0 = atol + rtol * np.maximum(np.abs(a0), np.abs(b0))
                 s1 = atol + rtol * np.maximum(np.abs(a1), np.abs(b1))
                 s2 = atol + rtol * np.maximum(np.abs(a2), np.abs(b2))
@@ -452,7 +454,7 @@ def _finish_row(
         a1 = y1.item(i)
         a2 = y2.item(i)
         k1 = [k.item(i) for k in stage1]
-        b0, b1, b2, k7, e0, e1, e2, _ = dp5_trial(row_rhs, ti, hi, a0, a1, a2, k1)
+        b0, b1, b2, k7, e0, e1, e2 = dp5_trial(row_rhs, ti, hi, a0, a1, a2, k1)[:7]
         # max(b, a) returns a NaN b, as np.maximum would.
         q0 = e0 / (atol + rtol * max(abs(b0), abs(a0)))
         q1 = e1 / (atol + rtol * max(abs(b1), abs(a1)))
