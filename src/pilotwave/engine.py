@@ -254,7 +254,14 @@ def _integrate_scalar(
             t_new = tau_end if lands else t + h_try
             if si < n_stops and stops[si] <= t_new:
                 si = _record_passed(
-                    samples, stops, si, t, h_try, (xi, th, ph), stages, t_new,
+                    samples,
+                    stops,
+                    si,
+                    t,
+                    h_try,
+                    (xi, th, ph),
+                    stages,
+                    t_new,
                     (xi_new, th_new, ph_new),
                 )
             t = t_new
