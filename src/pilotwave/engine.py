@@ -252,18 +252,15 @@ def _integrate_scalar(
             continue
         if err <= 1.0:
             t_new = tau_end if lands else t + h_try
-            if si < n_stops and stops[si] <= t_new:
-                si = _record_passed(
-                    samples,
-                    stops,
-                    si,
-                    t,
-                    h_try,
-                    (xi, th, ph),
-                    stages,
-                    t_new,
-                    (xi_new, th_new, ph_new),
-                )
+            polys = None
+            while si < n_stops and stops[si] <= t_new:
+                if stops[si] == t_new:
+                    _record(samples, (xi_new, th_new, ph_new))
+                else:
+                    if polys is None:
+                        polys = dp5_dense(h_try, (xi, th, ph), stages)
+                    _record(samples, dense_state(polys, (stops[si] - t) / h_try))
+                si += 1
             t = t_new
             xi, th, ph = xi_new, th_new, ph_new
             k1 = k7
@@ -304,23 +301,6 @@ def _integrate_scalar(
 def _record(samples, state):
     for column, value in zip(samples, state):
         column.append(value)
-
-
-def _record_passed(samples, stops, si, t, h, state, stages, t_new, state_new):
-    """Record the stops from stops[si] up to t_new; returns the next index.
-
-    The step went from (t, state) to (t_new, state_new) with size h.
-    """
-    polys = None
-    while si < len(stops) and stops[si] <= t_new:
-        if stops[si] == t_new:
-            _record(samples, state_new)
-        else:
-            if polys is None:
-                polys = dp5_dense(h, state, stages)
-            _record(samples, dense_state(polys, (stops[si] - t) / h))
-        si += 1
-    return si
 
 
 def _sample_columns(rhs, source, config, invariant, tau, samples) -> dict:
