@@ -332,6 +332,26 @@ def reversal_window(drive: DriveParameters, threshold: float = 0.02):
     return period - half_width, period + half_width
 
 
+def _amplitude_rhs(drive: DriveParameters):
+    """y' = f(tau, y) of the amplitude system, y = (Re c_a, Im c_a, Re c_b, Im c_b)."""
+    half_nu = 0.5 * drive.nu_t
+    omt = drive.Omega_t
+
+    def rhs(tau, y):
+        c = math.cos(omt * tau)
+        s = math.sin(omt * tau)
+        return np.array(
+            [
+                half_nu * (c * y[3] - s * y[2]),
+                -half_nu * (c * y[2] + s * y[3]),
+                half_nu * (c * y[1] + s * y[0]),
+                -half_nu * (c * y[0] - s * y[1]),
+            ]
+        )
+
+    return rhs
+
+
 def solve_coefficients_numeric(
     tau_max: float,
     drive: DriveParameters,
@@ -369,22 +389,6 @@ def solve_coefficients_numeric(
     if not 0.0 < stride <= tau_max:
         raise ParameterError("stride must lie in (0, tau_max], got %r" % (stride,))
 
-    half_nu = 0.5 * drive.nu_t
-    omt = drive.Omega_t
-
-    def rhs(tau, y):
-        # y = (Re c_a, Im c_a, Re c_b, Im c_b)
-        c = math.cos(omt * tau)
-        s = math.sin(omt * tau)
-        return np.array(
-            [
-                half_nu * (c * y[3] - s * y[2]),
-                -half_nu * (c * y[2] + s * y[3]),
-                half_nu * (c * y[1] + s * y[0]),
-                -half_nu * (c * y[0] - s * y[1]),
-            ]
-        )
-
     n_stops = int(round(tau_max / stride))
     stops = np.linspace(0.0, tau_max, n_stops + 1)
     if stops[-1] < tau_max:
@@ -401,7 +405,7 @@ def solve_coefficients_numeric(
 
     y0 = np.array([1.0, 0.0, 0.0, 0.0])
     integrate_array(
-        rhs,
+        _amplitude_rhs(drive),
         0.0,
         y0,
         tau_max,
@@ -505,19 +509,8 @@ class NumericSource:
         self._y = np.array(
             [[s.c_a.real, s.c_a.imag, s.c_b.real, s.c_b.imag] for s in series]
         )
-        half_nu = 0.5 * drive.nu_t
-        omt = drive.Omega_t
-        c = np.cos(omt * self._tau)
-        s_ = np.sin(omt * self._tau)
-        y = self._y
-        self._f = np.column_stack(
-            [
-                half_nu * (c * y[:, 3] - s_ * y[:, 2]),
-                -half_nu * (c * y[:, 2] + s_ * y[:, 3]),
-                half_nu * (c * y[:, 1] + s_ * y[:, 0]),
-                -half_nu * (c * y[:, 0] - s_ * y[:, 1]),
-            ]
-        )
+        rhs = _amplitude_rhs(drive)
+        self._f = np.array([rhs(t, y) for t, y in zip(self._tau.tolist(), self._y)])
 
     @property
     def label(self) -> str:

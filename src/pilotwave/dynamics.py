@@ -26,7 +26,11 @@ floats or numpy arrays; make_scalar_rhs (the integrator hot loop),
 make_batch_rhs (trajectory ensembles) and pauli_current all divide its
 output instead of repeating it.  make_row_rhs runs make_batch_rhs's
 numpy code on one row's floats, bit for bit, for the ensemble's last
-few rows.
+few rows.  The amplitude terms |c_a|^2, |c_b|^2 and c_a* c_b e^(-i tau)
+that the rhs builders feed it come from one builder, _cross_terms, on
+floats or arrays: in closed form for the analytic driven state, from
+the fixed pair of a frozen superposition, and through source.eval for
+any other source, which only the scalar rhs accepts.
 
 Two eigenstate limits anchor everything: a pure 1s state gives
 dphi/dtau = 8/(3 xi) and a pure 2p0 state gives 4/(3 xi), with
@@ -44,7 +48,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -60,7 +64,6 @@ from .drive import (
 )
 from .errors import (
     AxisProximityError,
-    NodeProximityError,
     OffSheetError,
     ParameterError,
 )
@@ -218,9 +221,79 @@ def eigenstate_angular_velocity(state: str, xi) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _cross_terms_analytic(drive: DriveParameters):
-    """Constants for Re/Im{c_a* c_b e^(-i tau)} of the driven state."""
-    return drive.ratio_nu, drive.ratio_Omega, drive.sigma_t, drive.omega_t
+def _cross_terms(source, xp, rint):
+    """tau -> (ca2, cb2, tp, im) for a coefficient source.
+
+    ca2 = |c_a|^2, cb2 = |c_b|^2 and tp + i im = c_a* c_b e^(-i tau).
+    xp and rint are math and round for Python floats, or numpy and
+    np.rint for arrays (np.rint rounds as np.round does at zero decimals
+    but skips its Python-level wrapper); both round halves to even, so
+    angles reduce alike.  The analytic driven state has a closed form;
+    a frozen pair is fixed, and any other source gives its amplitudes
+    through source.eval(tau), one time at a time.
+    """
+    kind = getattr(source, "kind", None)
+    if kind == "analytic":
+        drive = source.drive
+        rn, rO = drive.ratio_nu, drive.ratio_Omega
+        st_rate, wt = drive.sigma_t, drive.omega_t
+
+        def cross(tau):
+            half = 0.5 * st_rate * tau
+            sh = xp.sin(half)
+            ch = xp.cos(half)
+            q = rn * sh
+            cb2 = q * q
+            w = wt * tau
+            w = w - TWO_PI * rint(w / TWO_PI)
+            cw = xp.cos(w)
+            sw = xp.sin(w)
+            tp = -q * (rO * sh * cw + ch * sw)
+            im = q * (rO * sh * sw - ch * cw)
+            return 1.0 - cb2, cb2, tp, im
+
+        return cross
+
+    def pair(ca, cb):
+        m = ca.conjugate() * cb
+        return (
+            ca.real * ca.real + ca.imag * ca.imag,
+            cb.real * cb.real + cb.imag * cb.imag,
+            m.real,
+            m.imag,
+        )
+
+    def rotated(ca2, cb2, mr, mi, tau):
+        w = tau - TWO_PI * rint(tau / TWO_PI)
+        cw = xp.cos(w)
+        sw = xp.sin(w)
+        # c_a* c_b e^(-i tau) = (mr + i mi)(cw - i sw)
+        return ca2, cb2, mr * cw + mi * sw, mi * cw - mr * sw
+
+    if kind == "frozen":
+        frozen = pair(source.c1, source.c2)
+        return lambda tau: rotated(*frozen, tau)
+
+    def cross(tau):
+        state = source.eval(tau)
+        return rotated(*pair(state.c_a, state.c_b), tau)
+
+    return cross
+
+
+def _array_cross(source):
+    """_cross_terms through numpy, for the closed-form sources only.
+
+    Raises ParameterError for any other source: its amplitudes come one
+    time at a time, so they cannot feed a batch.
+    """
+    kind = getattr(source, "kind", None)
+    if kind not in ("analytic", "frozen"):
+        raise ParameterError(
+            "batch propagation supports analytic and frozen sources, got %r"
+            % (kind,)
+        )
+    return _cross_terms(source, np, np.rint)
 
 
 def make_scalar_rhs(
@@ -230,72 +303,31 @@ def make_scalar_rhs(
 ) -> Callable[[float, float, float], tuple[float, float, float, float]]:
     """Build f(tau, xi, theta) -> (dxi, dtheta, dphi, rho) in plain floats.
 
-    source is a coefficient source (see engine module): the analytic
-    driven state and frozen superpositions get specialized closures;
-    anything else goes through source.eval(tau).  Raises
+    source is a coefficient source (see engine module).  Raises
     AxisProximityError from inside the closure when sin(theta) drops
     below the axis guard, so the integrator can abort cleanly.
     """
+    cross = _cross_terms(source, math, round)
     sz = spin.s_z
-
-    kind = getattr(source, "kind", None)
-    if kind == "analytic":
-        rn, rO, st_rate, wt = _cross_terms_analytic(source.drive)
-
-        def rhs(tau, xi, theta):
-            half = 0.5 * st_rate * tau
-            sh = math.sin(half)
-            ch = math.cos(half)
-            q = rn * sh
-            cb2 = q * q
-            ca2 = 1.0 - cb2
-            w = wt * tau
-            w -= TWO_PI * round(w / TWO_PI)
-            cw = math.cos(w)
-            sw = math.sin(w)
-            tp = -q * (rO * sh * cw + ch * sw)
-            im = q * (rO * sh * sw - ch * cw)
-            return _rates(xi, theta, ca2, cb2, tp, im, sz)
-
-        return rhs
-
-    if kind == "frozen":
-        c1, c2 = source.c1, source.c2
-        ca2 = c1.real * c1.real + c1.imag * c1.imag
-        cb2 = c2.real * c2.real + c2.imag * c2.imag
-        m = c1.conjugate() * c2
-        mr, mi = m.real, m.imag
-
-        def rhs(tau, xi, theta):
-            w = tau - TWO_PI * round(tau / TWO_PI)
-            cw = math.cos(w)
-            sw = math.sin(w)
-            # c_a* c_b e^(-i tau) = (mr + i mi)(cw - i sw)
-            tp = mr * cw + mi * sw
-            im = mi * cw - mr * sw
-            return _rates(xi, theta, ca2, cb2, tp, im, sz)
-
-        return rhs
+    last = [math.nan, None]  # the last tau and its cross terms
 
     def rhs(tau, xi, theta):
-        return _rates(xi, theta, *_eval_cross(source, tau), sz)
+        # A DP5 trial evaluates its last two stages at the same time;
+        # the second evaluation reuses the first one's cross terms.
+        if tau != last[0]:
+            last[0], last[1] = tau, cross(tau)
+        sn = math.sin(theta)
+        if sn < AXIS_GUARD:
+            raise AxisProximityError(
+                "sin(theta)=%.3e below the axis guard %.0e" % (sn, AXIS_GUARD)
+            )
+        ca2, cb2, tp, im = last[1]
+        j_xi, j_theta, j_phi, rho = guidance_current(
+            math, xi, theta, sn, ca2, cb2, tp, im, sz
+        )
+        return j_xi / rho, j_theta / (xi * xi * rho), j_phi / (xi * rho), rho
 
     return rhs
-
-
-def _eval_cross(source, tau):
-    """(ca2, cb2, tp, im) at one time through source.eval, in plain floats."""
-    state = source.eval(tau)
-    ca, cb = state.c_a, state.c_b
-    ca2 = ca.real * ca.real + ca.imag * ca.imag
-    cb2 = cb.real * cb.real + cb.imag * cb.imag
-    m = ca.conjugate() * cb
-    w = tau - TWO_PI * round(tau / TWO_PI)
-    cw = math.cos(w)
-    sw = math.sin(w)
-    tp = m.real * cw + m.imag * sw
-    im = m.imag * cw - m.real * sw
-    return ca2, cb2, tp, im
 
 
 def guidance_current(xp, xi, theta, sn, ca2, cb2, tp, im, sz):
@@ -328,67 +360,6 @@ def guidance_current(xp, xi, theta, sn, ca2, cb2, tp, im, sz):
     return fi * (u2x + u2), fi * u2t, j_phi, rho
 
 
-def _rates(xi, theta, ca2, cb2, tp, im, sz):
-    """Scalar rates (dxi, dtheta, dphi, rho) behind the axis guard."""
-    sn = math.sin(theta)
-    if sn < AXIS_GUARD:
-        raise AxisProximityError(
-            "sin(theta)=%.3e below the axis guard %.0e" % (sn, AXIS_GUARD)
-        )
-    j_xi, j_theta, j_phi, rho = guidance_current(
-        math, xi, theta, sn, ca2, cb2, tp, im, sz
-    )
-    return j_xi / rho, j_theta / (xi * xi * rho), j_phi / (xi * rho), rho
-
-
-def _numpy_cross(source):
-    """tau -> (ca2, cb2, tp, im) through numpy, for arrays or Python floats.
-
-    Angles are reduced with np.rint, which rounds exactly as np.round
-    does at zero decimals but skips its Python-level wrapper (about
-    5 us per call on a scalar).
-    """
-    kind = getattr(source, "kind", None)
-
-    if kind == "analytic":
-        rn, rO, st_rate, wt = _cross_terms_analytic(source.drive)
-
-        def cross(tau):
-            half = 0.5 * st_rate * tau
-            sh = np.sin(half)
-            ch = np.cos(half)
-            q = rn * sh
-            cb2 = q * q
-            w = wt * tau
-            w = w - TWO_PI * np.rint(w / TWO_PI)
-            cw = np.cos(w)
-            sw = np.sin(w)
-            tp = -q * (rO * sh * cw + ch * sw)
-            im = q * (rO * sh * sw - ch * cw)
-            return 1.0 - cb2, cb2, tp, im
-
-    elif kind == "frozen":
-        c1, c2 = source.c1, source.c2
-        ca2_c = abs(c1) ** 2
-        cb2_c = abs(c2) ** 2
-        m = c1.conjugate() * c2
-
-        def cross(tau):
-            w = tau - TWO_PI * np.rint(tau / TWO_PI)
-            cw = np.cos(w)
-            sw = np.sin(w)
-            tp = m.real * cw + m.imag * sw
-            im = m.imag * cw - m.real * sw
-            return ca2_c, cb2_c, tp, im
-
-    else:
-        raise ParameterError(
-            "batch propagation supports analytic and frozen sources, got %r"
-            % (kind,)
-        )
-    return cross
-
-
 def _numpy_rates(xi, theta, terms, sz):
     """(dxi, dtheta, dphi, rho) through numpy from the cross terms at tau."""
     ca2, cb2, tp, im = terms
@@ -406,7 +377,7 @@ def make_batch_rhs(source, *, spin: SpinVector = SPIN_UP):
     job (the batch integrator drops trajectories near the axis), so no
     guard fires here.
     """
-    cross = _numpy_cross(source)
+    cross = _array_cross(source)
     sz = spin.s_z
     # A copy of the last tau and its cross terms.  NaN equals nothing,
     # so the first call always fills it, whatever its length.
@@ -431,7 +402,7 @@ def make_row_rhs(source, *, spin: SpinVector = SPIN_UP):
     faster on.  The math module would not do: math.exp and np.exp round
     differently for a few percent of arguments.
     """
-    cross = _numpy_cross(source)
+    cross = _array_cross(source)
     sz = spin.s_z
     last = [math.nan, None]  # the last tau and its cross terms
 

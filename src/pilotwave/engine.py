@@ -29,23 +29,14 @@ from .drive import DriveParameters, reversal_window
 from .dynamics import (
     SPIN_UP,
     SpinVector,
-    _eval_cross,
-    _numpy_cross,
+    _array_cross,
+    _cross_terms,
     make_scalar_rhs,
     surface_constant,
     surface_residual,
 )
 from .errors import AxisProximityError, IntegrationError, ParameterError
-from .stepping import (
-    MAX_FACTOR,
-    MIN_FACTOR,
-    PI_ALPHA,
-    PI_BETA,
-    SAFETY,
-    dense_state,
-    dp5_dense,
-    dp5_trial,
-)
+from .stepping import dense_state, dp5_dense, dp5_trial, next_step
 from .wavefield import SpatialPoint
 
 VERSION_TAG = "pilotwave 0.1.0"
@@ -244,56 +235,40 @@ def _integrate_scalar(
         r_th = e_th / s_th
         r_ph = e_ph / s_ph
         err = math.sqrt((r_xi * r_xi + r_th * r_th + r_ph * r_ph) / 3.0)
-
-        if err != err or err == math.inf:
-            h = 0.5 * h_try
-            just_rejected = True
+        h, err_prev = next_step(h_try, err, err_prev, just_rejected)
+        just_rejected = not err <= 1.0
+        if just_rejected:
             n_rej += 1
             continue
-        if err <= 1.0:
-            t_new = tau_end if lands else t + h_try
-            polys = None
-            while si < n_stops and stops[si] <= t_new:
-                if stops[si] == t_new:
-                    _record(samples, (xi_new, th_new, ph_new))
-                else:
-                    if polys is None:
-                        polys = dp5_dense(h_try, (xi, th, ph), stages)
-                    _record(samples, dense_state(polys, (stops[si] - t) / h_try))
-                si += 1
-            t = t_new
-            xi, th, ph = xi_new, th_new, ph_new
-            k1 = k7
-            n_acc += 1
-            rho_here = k7[3]
-            if rho_here < min_rho:
-                min_rho = rho_here
-            if rho_here < cfg.rho_floor:
-                dwell += 1
-                if dwell > NODE_DWELL_STEPS and not dwell_warned:
-                    warnings.warn(
-                        "trajectory dwelling near a density node: %d consecutive "
-                        "accepted steps with rho < %.0e around tau=%.3f"
-                        % (dwell, cfg.rho_floor, t),
-                        stacklevel=3,
-                    )
-                    dwell_warned = True
+        t_new = tau_end if lands else t + h_try
+        polys = None
+        while si < n_stops and stops[si] <= t_new:
+            if stops[si] == t_new:
+                _record(samples, (xi_new, th_new, ph_new))
             else:
-                dwell = 0
-            if err == 0.0:
-                factor = MAX_FACTOR
-            else:
-                factor = SAFETY * err ** (-PI_ALPHA) * err_prev**PI_BETA
-                factor = min(MAX_FACTOR, max(MIN_FACTOR, factor))
-            if just_rejected:
-                factor = min(1.0, factor)
-            h = h_try * factor
-            err_prev = max(err, 1e-4)
-            just_rejected = False
+                if polys is None:
+                    polys = dp5_dense(h_try, (xi, th, ph), stages)
+                _record(samples, dense_state(polys, (stops[si] - t) / h_try))
+            si += 1
+        t = t_new
+        xi, th, ph = xi_new, th_new, ph_new
+        k1 = k7
+        n_acc += 1
+        rho_here = k7[3]
+        if rho_here < min_rho:
+            min_rho = rho_here
+        if rho_here < cfg.rho_floor:
+            dwell += 1
+            if dwell > NODE_DWELL_STEPS and not dwell_warned:
+                warnings.warn(
+                    "trajectory dwelling near a density node: %d consecutive "
+                    "accepted steps with rho < %.0e around tau=%.3f"
+                    % (dwell, cfg.rho_floor, t),
+                    stacklevel=3,
+                )
+                dwell_warned = True
         else:
-            h = h_try * max(MIN_FACTOR, SAFETY * err ** (-PI_ALPHA))
-            just_rejected = True
-            n_rej += 1
+            dwell = 0
 
     return samples, n_acc, n_rej, min_rho
 
@@ -353,16 +328,17 @@ def _amplitude_terms(source, tau):
     ca2 = |c_a|^2, cb2 = |c_b|^2 and tp = Re{c_a* c_b e^(-i tau)} are
     the cross terms of the guidance law and feed the local energy.  The
     closed-form sources give them through numpy, and cb_sq through
-    source.cb_sq; any other source goes one sample at a time through
-    _eval_cross, as its scalar rhs does, and reports cb2 as cb_sq.
+    source.cb_sq; any other source goes one sample at a time, as its
+    scalar rhs does, and reports cb2 as cb_sq.
     """
-    if getattr(source, "kind", None) in ("analytic", "frozen"):
-        ca2, cb2, tp, _ = _numpy_cross(source)(tau)
-        return ca2, cb2, tp, np.zeros(len(tau)) + source.cb_sq(tau)
-    terms = np.empty((len(tau), 4))
-    for i, t in enumerate(tau.tolist()):
-        terms[i] = _eval_cross(source, t)
-    return terms[:, 0], terms[:, 1], terms[:, 2], terms[:, 1]
+    try:
+        cross = _array_cross(source)
+    except ParameterError:
+        cross = _cross_terms(source, math, round)
+        ca2, cb2, tp, _ = np.array([cross(t) for t in tau.tolist()]).T
+        return ca2, cb2, tp, cb2
+    ca2, cb2, tp, _ = cross(tau)
+    return ca2, cb2, tp, np.zeros(len(tau)) + source.cb_sq(tau)
 
 
 def _drive_dict(drive: Optional[DriveParameters]) -> Optional[dict]:

@@ -43,7 +43,6 @@ from .drive import (
     reduce_angle,
     transition_probability,
 )
-from .errors import ParameterError
 from .wavefield import N1, N2, RHO_FLOOR, SpatialPoint
 
 # Clip value for the local energy near density nodes, in eV.
@@ -160,43 +159,6 @@ def local_energy_array(
     return h0, clipped
 
 
-def local_energy_envelope_route(
-    point: SpatialPoint,
-    tau: float,
-    drive: DriveParameters,
-    *,
-    constants: PhysicalConstants = CODATA,
-    rho_floor: float = RHO_FLOOR,
-) -> float:
-    """h0 via the real envelope T' instead of complex arithmetic.
-
-    Algebraically equal to the h0 part of local_energy for the driven
-    closed-form amplitudes:
-
-        h0 = (E1 |c_a|^2 u1^2 + E2 |c_b|^2 u2^2
-              + (E1 + E2) u1 u2 T') / rho.
-
-    Kept as an independent route for cross-checks.
-    """
-    from .drive import transition_probability_scalar
-
-    E1 = constants.E1_eV
-    E2 = constants.E2_eV
-    xi, theta = point.xi, point.theta
-    u1 = N1 * math.exp(-xi)
-    u2 = N2 * xi * math.exp(-0.5 * xi) * math.cos(theta)
-    cb2 = transition_probability_scalar(tau, drive)
-    ca2 = 1.0 - cb2
-    tp = envelope_Tprime(tau, drive)
-    rho = ca2 * u1 * u1 + cb2 * u2 * u2 + 2.0 * u1 * u2 * tp
-    if rho < rho_floor:
-        raise ParameterError(
-            "density %.3e below floor; the envelope route does not clip" % (rho,)
-        )
-    num = E1 * ca2 * u1 * u1 + E2 * cb2 * u2 * u2 + (E1 + E2) * u1 * u2 * tp
-    return num / rho
-
-
 def expected_energy(
     tau,
     drive: DriveParameters,
@@ -234,7 +196,6 @@ def reference_energy(
     integrals); agrees with it to quadrature accuracy.
     """
     from .drive import coefficients
-    from .wavefield import density
 
     coeffs = coefficients(tau, drive)
     nodes_x, weights_x = np.polynomial.legendre.leggauss(n_xi)

@@ -1,27 +1,34 @@
 """Adaptive Dormand-Prince 5(4) stepping.
 
-One tableau, one PI controller, two pieces of stepping code:
+One tableau, one trial step and one float PI controller:
 
-* dp5_trial below, one trial step of a trajectory (xi, theta, phi).
-  It is plain arithmetic on whatever it is given, so the scalar loop in
-  engine.py runs it on Python floats and the batched ensemble loop in
-  ensemble.py runs it on numpy arrays with per-trajectory clocks and
-  step sizes.  Each loop keeps its own error norm, step control, stop
-  landing and failure accounting; both reuse an accepted step's last
-  stage as the next step's first (first-same-as-last).  The scalar
-  loop samples between its steps with dp5_dense, which builds the
-  step's continuous extension from the stages dp5_trial returns.
+* dp5_trial below, one trial step of a state with three slots: two
+  that feed the rates and one carried along (for a trajectory, xi and
+  theta feed dphi and phi is carried).  It is plain arithmetic on
+  whatever it is given, so the scalar loop in engine.py runs it on
+  Python floats, the batched ensemble loop in ensemble.py on numpy
+  arrays with per-trajectory clocks and step sizes, and integrate_array
+  below on one numpy state vector in the first slot with constant zeros
+  in the other two.  Every loop reuses an accepted step's last stage as
+  the next step's first (first-same-as-last).  The scalar loop samples
+  between its steps with dp5_dense, which builds the step's continuous
+  extension from the stages dp5_trial returns.
+* next_step below, the PI step controller on Python floats, shared by
+  the scalar loop and integrate_array.  The ensemble's sweep and row
+  loop keep their own copy on np.power, which rounds differently from
+  **: those two must stay bitwise equal to each other.
 * integrate_array below, a generic driver for small numpy state vectors
-  (used for the amplitude ODE cross-check).
+  (used for the amplitude ODE) that lands on given stop times.
 
 All drivers use the same embedded pair, the same RMS error norm with
-scale atol + rtol*max(|y|, |y_new|), and the same PI step controller
+scale atol + rtol*max(|y|, |y_new|), and the same PI step control
 (growth factor safety * err^-0.14 * err_prev^0.08, clipped to
 [0.2, 5], capped at 1 right after a rejection).
 """
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -101,10 +108,12 @@ PI_BETA = 0.4 / 5.0
 def dp5_trial(rhs, t, h, xi, theta, phi, k1):
     """One Dormand-Prince 5(4) trial step of a trajectory.
 
-    rhs(t, xi, theta) returns (dxi, dtheta, dphi, rho); phi does not
+    rhs(t, xi, theta) returns (dxi, dtheta, dphi) and possibly more,
+    which rides along unused (the guidance rhs adds rho); phi does not
     feed back into the rates.  k1 is rhs at (t, xi, theta).  Every
     argument may be a Python float or an equal-length numpy array: the
-    step is written once, in one operation order, for both.
+    step is written once, in one operation order, for both.  A state
+    with fewer parts passes constant zeros in the unused slots.
 
     Returns (xi_new, theta_new, phi_new, k7, e_xi, e_theta, e_phi,
     stages): the fifth-order state, rhs evaluated there (stage 1 of the
@@ -152,6 +161,29 @@ def dp5_trial(rhs, t, h, xi, theta, phi, k1):
         E1 * k1[2] + E3 * k3[2] + E4 * k4[2] + E5 * k5[2] + E6 * k6[2] + E7 * k7[2]
     )
     return xi_new, theta_new, phi_new, k7, e_xi, e_theta, e_phi, (k1, k3, k4, k5, k6, k7)
+
+
+def next_step(h, err, err_prev, just_rejected):
+    """Next step size and controller memory after a trial of size h.
+
+    err is the trial's error norm; the trial is accepted when err <= 1.
+    An accepted step changes by the PI factor, capped at 1 right after a
+    rejection, and its error (floored at 1e-4) becomes the new err_prev.
+    A rejected step shrinks by the I factor alone, or halves when err is
+    not finite, and err_prev is kept.
+    """
+    if not err < math.inf:
+        return 0.5 * h, err_prev
+    if err > 1.0:
+        return h * max(MIN_FACTOR, SAFETY * err ** (-PI_ALPHA)), err_prev
+    if err == 0.0:
+        factor = MAX_FACTOR
+    else:
+        factor = SAFETY * err ** (-PI_ALPHA) * err_prev**PI_BETA
+        factor = min(MAX_FACTOR, max(MIN_FACTOR, factor))
+    if just_rejected:
+        factor = min(1.0, factor)
+    return h * factor, max(err, 1e-4)
 
 
 def dp5_dense(h, state, stages):
@@ -219,6 +251,7 @@ def integrate_array(
     The integrator lands exactly on every value in stops (which must be
     sorted, within [t0, t_end]) and calls observer(t, y) there, as well
     as at t0 if stops starts there.  Returns (t, y, accepted, rejected).
+    Each trial is dp5_trial with y in its first slot.
     """
     if t_end < t0:
         raise ParameterError("integrate_array requires t_end >= t0")
@@ -236,8 +269,11 @@ def integrate_array(
     if t_end == t0:
         return t, y, 0, 0
 
-    k1 = np.asarray(f(t, y))
-    h = initial_step(f, t, y, k1, t_end, rtol, atol, max_step)
+    def g(s, v, _):
+        return np.asarray(f(s, v)), 0.0, 0.0
+
+    k1 = g(t, y, 0.0)
+    h = initial_step(f, t, y, k1[0], t_end, rtol, atol, max_step)
     err_prev = 1.0
     just_rejected = False
     n_acc = 0
@@ -257,54 +293,23 @@ def integrate_array(
                 "step size underflow at t=%r" % (t,), tau=t, state=tuple(y)
             )
 
-        k2 = np.asarray(f(t + C2 * h_try, y + h_try * (A21 * k1)))
-        k3 = np.asarray(f(t + C3 * h_try, y + h_try * (A31 * k1 + A32 * k2)))
-        k4 = np.asarray(
-            f(t + C4 * h_try, y + h_try * (A41 * k1 + A42 * k2 + A43 * k3))
-        )
-        k5 = np.asarray(
-            f(t + C5 * h_try, y + h_try * (A51 * k1 + A52 * k2 + A53 * k3 + A54 * k4))
-        )
-        k6 = np.asarray(
-            f(
-                t + h_try,
-                y + h_try * (A61 * k1 + A62 * k2 + A63 * k3 + A64 * k4 + A65 * k5),
-            )
-        )
-        y_new = y + h_try * (B1 * k1 + B3 * k3 + B4 * k4 + B5 * k5 + B6 * k6)
-        k7 = np.asarray(f(t + h_try, y_new))
-
-        err_vec = h_try * (E1 * k1 + E3 * k3 + E4 * k4 + E5 * k5 + E6 * k6 + E7 * k7)
+        y_new, _, _, k7, err_vec = dp5_trial(g, t, h_try, y, 0.0, 0.0, k1)[:5]
         scale = atol + rtol * np.maximum(np.abs(y), np.abs(y_new))
-        err = float(np.sqrt(np.mean((err_vec / scale) ** 2)))
-
-        if not np.isfinite(err):
-            h = 0.5 * h_try
-            just_rejected = True
+        # np.mean's own sum and division, without its per-call overhead.
+        q = err_vec / scale
+        err = math.sqrt(float(np.add.reduce(q * q)) / q.size)
+        h, err_prev = next_step(h_try, err, err_prev, just_rejected)
+        just_rejected = not err <= 1.0
+        if just_rejected:
             n_rej += 1
             continue
-        if err <= 1.0:
-            t = target if hits_target else t + h_try
-            y = y_new
-            k1 = k7
-            n_acc += 1
-            if err == 0.0:
-                factor = MAX_FACTOR
-            else:
-                factor = SAFETY * err ** (-PI_ALPHA) * err_prev**PI_BETA
-                factor = min(MAX_FACTOR, max(MIN_FACTOR, factor))
-            if just_rejected:
-                factor = min(1.0, factor)
-            h = h_try * factor
-            err_prev = max(err, 1e-4)
-            just_rejected = False
-            if stop_idx < len(stop_list) and t >= stop_list[stop_idx]:
-                if observer is not None:
-                    observer(t, y)
-                stop_idx += 1
-        else:
-            h = h_try * max(MIN_FACTOR, SAFETY * err ** (-PI_ALPHA))
-            just_rejected = True
-            n_rej += 1
+        t = target if hits_target else t + h_try
+        y = y_new
+        k1 = k7
+        n_acc += 1
+        if stop_idx < len(stop_list) and t >= stop_list[stop_idx]:
+            if observer is not None:
+                observer(t, y)
+            stop_idx += 1
 
     return t, y, n_acc, n_rej

@@ -244,6 +244,16 @@ def test_ensemble_dropout_budget_exit_code(tmp_path, capsys):
     assert target["dropout_underflow"] == 20
 
 
+def test_ensemble_refuses_numeric_mode(tmp_path, capsys):
+    # The ensemble steps many trajectories at once and needs amplitudes
+    # in closed form; numeric mode is a config error, and nothing is written.
+    cfg_path = write_cfg(tmp_path, mode="numeric", count=20, tau_targets=(5.0,), bins=5)
+    out = tmp_path / "numeric"
+    assert main(["ensemble", "--config", cfg_path, "--out", str(out)]) == 2
+    assert "'numeric-ode'" in capsys.readouterr().err
+    assert not (out / "ensemble_summary.json").exists()
+
+
 # ---------------------------------------------------------------------------
 # verify
 

@@ -42,7 +42,7 @@ from pilotwave.dynamics import (
     make_batch_rhs,
     make_scalar_rhs,
 )
-from pilotwave.drive import AnalyticSource
+from pilotwave.drive import AnalyticSource, NumericSource
 
 GROUND = CoefficientState(c_a=1.0 + 0.0j, c_b=0.0 + 0.0j, tau=0.0)
 UPPER = CoefficientState(c_a=0.0 + 0.0j, c_b=1.0 + 0.0j, tau=0.0)
@@ -183,9 +183,19 @@ def test_scalar_rhs_matches_velocity_field(reference_drive):
         assert math.isclose(rho, density(xi, th, tau, coeffs), rel_tol=tol)
 
 
-def test_batch_rhs_matches_scalar_rhs(reference_drive):
-    scalar = make_scalar_rhs(AnalyticSource(reference_drive))
-    batch = make_batch_rhs(AnalyticSource(reference_drive))
+# The frozen pair has both parts of c2 nonzero, so every term of the
+# phase rotation contributes.
+FROZEN_PAIR = (complex(math.sqrt(0.6), 0.0), complex(0.4, math.sqrt(0.24)))
+
+
+@pytest.mark.parametrize("kind", ["analytic", "frozen"])
+def test_batch_rhs_matches_scalar_rhs(reference_drive, kind):
+    if kind == "analytic":
+        source = AnalyticSource(reference_drive)
+    else:
+        source = FrozenSource(*FROZEN_PAIR)
+    scalar = make_scalar_rhs(source)
+    batch = make_batch_rhs(source)
     xi = np.array([1.0, 3.3, 4.0, 6.6])
     th = np.array([0.5, 1.0, 1.9, 2.4])
     tau = 1234.5
@@ -198,10 +208,13 @@ def test_batch_rhs_matches_scalar_rhs(reference_drive):
         assert math.isclose(rho_b[i], rho, rel_tol=1e-13)
 
 
-def test_frozen_rhs_matches_velocity_field():
-    c1 = complex(math.sqrt(0.6), 0.0)
-    c2 = complex(0.4, math.sqrt(0.24))
-    source = FrozenSource(c1, c2)
+@pytest.mark.parametrize("kind", ["frozen", "numeric"])
+def test_frozen_rhs_matches_velocity_field(reference_drive, kind):
+    # The numeric source reaches the scalar rhs through source.eval.
+    if kind == "frozen":
+        source = FrozenSource(*FROZEN_PAIR)
+    else:
+        source = NumericSource(reference_drive, 500.0)
     rhs = make_scalar_rhs(source)
     p = SpatialPoint(xi=2.8, theta=2.0)
     dxi, dth, dphi, _ = rhs(55.0, 2.8, 2.0)

@@ -32,6 +32,7 @@ import pytest
 from pilotwave import (
     FrozenSource,
     IntegratorConfig,
+    NumericSource,
     ParameterError,
     SpatialPoint,
     coefficients,
@@ -304,6 +305,15 @@ def test_needs_drive_or_source():
             evolve_ensemble(points, tau, None, QUICK, source=FrozenSource(1.0, 0.0))
         with pytest.raises(ParameterError):
             evolve_targets(points, (1.0, tau), None, QUICK, source=FrozenSource(1.0, 0.0))
+
+
+def test_rejects_sources_without_closed_form(reference_drive):
+    # The batch rhs needs the amplitudes at many times at once; a
+    # numeric source gives them one time at a time.
+    points = sample_arrays(10, seed=1)
+    source = NumericSource(reference_drive, 20.0)
+    with pytest.raises(ParameterError, match="'numeric-ode'"):
+        evolve_targets(points, (5.0,), None, QUICK, source=source)
 
 
 def test_rejects_empty_and_ragged_clouds():

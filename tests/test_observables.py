@@ -2,10 +2,10 @@
 
 The local energy is Re{psi* H psi}/|psi|^2 with the oscillating dipole
 term evaluated semiclassically.  Two independent routes exist: the
-complex-amplitude route (local_energy) and the envelope route
-(local_energy_envelope_route); they must agree to rounding.  The
-ensemble expectation has a closed form checked here against direct
-quadrature of the local value over the density.
+complex-amplitude route (local_energy) and the real envelope kernel
+(local_energy_array) fed the closed-form |c_b|^2 and T'; they must
+agree to rounding.  The ensemble expectation has a closed form checked
+here against direct quadrature of the local value over the density.
 """
 
 from __future__ import annotations
@@ -23,9 +23,10 @@ from pilotwave import (
     expected_energy,
 )
 from pilotwave.constants import CODATA
+from pilotwave.drive import envelope_Tprime, transition_probability_scalar
 from pilotwave.observables import (
     ENERGY_CLIP_EV,
-    local_energy_envelope_route,
+    local_energy_array,
     reference_energy,
 )
 
@@ -74,8 +75,8 @@ def test_driven_anchor_point(reference_drive):
 
 
 def test_two_energy_routes_agree(reference_drive):
-    # The envelope route reports the bare-atom part only, so it is
-    # compared against h0_part_eV, not the field-shifted total.
+    # The envelope kernel gets |c_b|^2 and T' from their closed forms,
+    # not from the complex amplitudes that local_energy uses.
     rng = np.random.Generator(np.random.Philox(23))
     checked = 0
     while checked < 40:
@@ -87,10 +88,13 @@ def test_two_energy_routes_agree(reference_drive):
         if e.clipped:
             continue
         checked += 1
-        env = local_energy_envelope_route(
-            SpatialPoint(xi=xi, theta=th), tau, reference_drive
+        cb2 = transition_probability_scalar(tau, reference_drive)
+        tp = envelope_Tprime(tau, reference_drive)
+        env, clipped = local_energy_array(
+            xi, th, tau, 1.0 - cb2, cb2, tp, reference_drive
         )
-        assert abs(e.h0_part_eV - env) < 1e-9 * max(1.0, abs(env))
+        assert not clipped
+        assert abs(e.total_eV - env) < 1e-9 * max(1.0, abs(env))
 
 
 def test_drive_term_needs_drive_argument(reference_drive):

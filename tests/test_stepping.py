@@ -6,7 +6,9 @@ engine) and numpy arrays (the batched ensemble), so the two drivers
 differ only in their step control: they must agree on the same
 trajectories to within their tolerance.  The batch driver finishes its
 last few rows one at a time (ensemble.TAIL_ROWS); that row loop must
-give the sweep's result byte for byte.
+give the sweep's result byte for byte.  integrate_array, which runs
+the same trial step on a state vector, is checked against its contract
+on a harmonic oscillator.
 """
 
 from __future__ import annotations
@@ -20,13 +22,14 @@ from pilotwave import (
     AnalyticSource,
     FrozenSource,
     IntegratorConfig,
+    ParameterError,
     SpatialPoint,
     ensemble,
     integrate,
 )
 from pilotwave.dynamics import SPIN_UP, make_batch_rhs, make_row_rhs, make_scalar_rhs
 from pilotwave.ensemble import SHARD_MIN_ROWS, TAIL_ROWS, _advance_batch, sample_arrays
-from pilotwave.stepping import dense_state, dp5_dense, dp5_trial
+from pilotwave.stepping import dense_state, dp5_dense, dp5_trial, integrate_array
 
 
 def _arith_rhs(t, x, y):
@@ -104,6 +107,44 @@ def test_dense_samples_match_a_tight_run_landing_there(reference_drive):
             (ref.xi[-1], ref.theta[-1], ref.phi[-1]),
             cfg.rel_tol,
         )
+
+
+def _oscillator(t, y):
+    # y = (cos t, -sin t) from y(0) = (1, 0).
+    return np.array([y[1], -y[0]])
+
+
+def test_integrate_array_rejects_bad_spans():
+    y0 = np.array([1.0, 0.0])
+    with pytest.raises(ParameterError):
+        integrate_array(_oscillator, 1.0, y0, 0.5)
+    for stop in (-0.1, 2.5):
+        with pytest.raises(ParameterError):
+            integrate_array(_oscillator, 0.0, y0, 2.0, stops=[stop])
+
+
+def test_integrate_array_empty_span_still_observes_the_start():
+    seen = []
+    t, y, accepted, rejected = integrate_array(
+        _oscillator, 0.5, [1.0, 0.0], 0.5, stops=[0.5],
+        observer=lambda s, v: seen.append((s, v.tolist())),
+    )
+    assert (t, y.tolist(), accepted, rejected) == (0.5, [1.0, 0.0], 0, 0)
+    assert seen == [(0.5, [1.0, 0.0])]
+
+
+def test_integrate_array_lands_on_every_stop():
+    stops = [0.0, 0.3, 1.0, 2.5, 4.0, 2.0 * math.pi]
+    seen = []
+    t, y, accepted, _ = integrate_array(
+        _oscillator, 0.0, np.array([1.0, 0.0]), stops[-1], rtol=1e-10, atol=1e-12,
+        stops=stops, observer=lambda s, v: seen.append((s, v.copy())),
+    )
+    assert [s for s, _ in seen] == stops
+    assert t == stops[-1] and accepted > len(stops)
+    for s, v in seen:
+        assert np.all(np.abs(v - (math.cos(s), -math.sin(s))) < 1e-8)
+    assert np.all(np.abs(y - (1.0, 0.0)) < 1e-8)
 
 
 def _source(kind, drive):
