@@ -90,6 +90,13 @@ class RunConfig:
         Returns self so calls can chain; raises ConfigError naming the
         offending key otherwise.
         """
+        for section, keys in _SCHEMA.items():
+            for key in keys:
+                value = getattr(self, key)
+                if isinstance(value, float) and not math.isfinite(value):
+                    raise ConfigError(
+                        "%s.%s must be finite, got %r" % (section, key, value)
+                    )
         if not self.E0_volts_per_meter > 0.0:
             raise ConfigError(
                 "drive.E0_volts_per_meter must be positive, got %r"
@@ -105,13 +112,6 @@ class RunConfig:
                 "drive.omega0_per_second must be positive, got %r"
                 % (self.omega0_per_second,)
             )
-        if self.nu_override_per_second is not None and not math.isfinite(
-            self.nu_override_per_second
-        ):
-            raise ConfigError(
-                "drive.nu_override_per_second must be finite, got %r"
-                % (self.nu_override_per_second,)
-            )
         if not self.xi > 0.0:
             raise ConfigError("initial.xi must be positive, got %r" % (self.xi,))
         if not 0.0 < self.theta < math.pi or math.sin(self.theta) < _AXIS_MIN_SIN:
@@ -120,8 +120,6 @@ class RunConfig:
                 "azimuth is undefined on the z-axis, so sin(theta) must "
                 "be at least %g" % (self.theta, _AXIS_MIN_SIN)
             )
-        if not math.isfinite(self.phi):
-            raise ConfigError("initial.phi must be finite, got %r" % (self.phi,))
         if self.mode not in _MODES:
             raise ConfigError(
                 "coefficients.mode must be one of %s, got %r"

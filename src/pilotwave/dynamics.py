@@ -32,6 +32,13 @@ floats or arrays: in closed form for the analytic driven state, from
 the fixed pair of a frozen superposition, and through source.eval for
 any other source, which only the scalar rhs accepts.
 
+Sines and cosines: the numpy path takes each angle's pair (theta, the
+Rabi half angle, the reduced fast phase) from one tangent of its half
+angle, _sincos, because this numpy's np.sin and np.cos are scalar libm
+loops while np.tan is SIMD.  The float path, which the scalar engine
+runs, keeps math.sin and math.cos: they are cheaper on one float than
+any Python-level helper, and its numbers stay exactly as they were.
+
 Two eigenstate limits anchor everything: a pure 1s state gives
 dphi/dtau = 8/(3 xi) and a pure 2p0 state gives 4/(3 xi), with
 dxi = dtheta = 0 in both, so the electron circulates about the spin
@@ -221,6 +228,23 @@ def eigenstate_angular_velocity(state: str, xi) -> float:
 # ---------------------------------------------------------------------------
 
 
+def _sincos(x):
+    """(sin x, cos x) from one tangent, through numpy.
+
+    With t = tan(x/2) and e = 2/(1 + t^2), sin x = t e and cos x = e - 1.
+    This numpy runs float64 np.tan as a SIMD loop, at a quarter or less
+    of the cost of its scalar-libm np.sin or np.cos per element.  sin
+    stays within a few ulp relative, and both stay within a few ulp of 1
+    absolute; cos near its zeros is accurate in that absolute sense
+    only, as is any cos of a rounded angle.  NaN and +-inf give NaN, as
+    np.sin does.  A Python float (the row rhs) gives numpy scalars,
+    rounded as the same value in an array would be.
+    """
+    t = np.tan(0.5 * x)
+    e = 2.0 / (1.0 + t * t)
+    return t * e, e - 1.0
+
+
 def _cross_terms(source, xp, rint):
     """tau -> (ca2, cb2, tp, im) for a coefficient source.
 
@@ -228,10 +252,15 @@ def _cross_terms(source, xp, rint):
     xp and rint are math and round for Python floats, or numpy and
     np.rint for arrays (np.rint rounds as np.round does at zero decimals
     but skips its Python-level wrapper); both round halves to even, so
-    angles reduce alike.  The analytic driven state has a closed form;
-    a frozen pair is fixed, and any other source gives its amplitudes
-    through source.eval(tau), one time at a time.
+    angles reduce alike.  Floats take each angle's sine and cosine from
+    math.sin and math.cos, which on one float cost less than any helper
+    call would; arrays take them from one _sincos call.  The analytic
+    driven state has a closed form with two angles, the Rabi half angle
+    and the reduced fast phase; a frozen pair is fixed, and any other
+    source gives its amplitudes through source.eval(tau), one time at a
+    time; both rotate by the reduced phase alone.
     """
+    arrays = xp is np
     kind = getattr(source, "kind", None)
     if kind == "analytic":
         drive = source.drive
@@ -240,14 +269,16 @@ def _cross_terms(source, xp, rint):
 
         def cross(tau):
             half = 0.5 * st_rate * tau
-            sh = xp.sin(half)
-            ch = xp.cos(half)
-            q = rn * sh
-            cb2 = q * q
             w = wt * tau
             w = w - TWO_PI * rint(w / TWO_PI)
-            cw = xp.cos(w)
-            sw = xp.sin(w)
+            if arrays:
+                sh, ch = _sincos(half)
+                sw, cw = _sincos(w)
+            else:
+                sh, ch = math.sin(half), math.cos(half)
+                sw, cw = math.sin(w), math.cos(w)
+            q = rn * sh
+            cb2 = q * q
             tp = -q * (rO * sh * cw + ch * sw)
             im = q * (rO * sh * sw - ch * cw)
             return 1.0 - cb2, cb2, tp, im
@@ -265,8 +296,10 @@ def _cross_terms(source, xp, rint):
 
     def rotated(ca2, cb2, mr, mi, tau):
         w = tau - TWO_PI * rint(tau / TWO_PI)
-        cw = xp.cos(w)
-        sw = xp.sin(w)
+        if arrays:
+            sw, cw = _sincos(w)
+        else:
+            sw, cw = math.sin(w), math.cos(w)
         # c_a* c_b e^(-i tau) = (mr + i mi)(cw - i sw)
         return ca2, cb2, mr * cw + mi * sw, mi * cw - mr * sw
 
@@ -323,23 +356,26 @@ def make_scalar_rhs(
             )
         ca2, cb2, tp, im = last[1]
         j_xi, j_theta, j_phi, rho = guidance_current(
-            math, xi, theta, sn, ca2, cb2, tp, im, sz
+            math, xi, sn, math.cos(theta), ca2, cb2, tp, im, sz
         )
         return j_xi / rho, j_theta / (xi * xi * rho), j_phi / (xi * rho), rho
 
     return rhs
 
 
-def guidance_current(xp, xi, theta, sn, ca2, cb2, tp, im, sz):
+def guidance_current(xp, xi, sn, ct, ca2, cb2, tp, im, sz):
     """Current and density of the guidance law, before any division.
 
-    xp is the math module for Python floats or numpy for arrays; sn is
-    sin(theta), which every caller needs anyway for its axis handling.
-    ca2 = |c_a|^2, cb2 = |c_b|^2, tp + i im = c_a* c_b e^(-i tau) and sz
-    is the spin's z component.  Returns (rho dxi/dtau,
-    rho xi^2 dtheta/dtau, rho xi dphi/dtau, rho); no guard fires here.
+    xp is the math module for Python floats or numpy for arrays.  sn and
+    ct are sin(theta) and cos(theta), computed by the caller, which needs
+    sn anyway for its axis handling: the float callers (make_scalar_rhs,
+    pauli_current) take them from math.sin and math.cos, so the scalar
+    engine's numbers stay libm's; the numpy caller takes both from one
+    _sincos call.  ca2 = |c_a|^2, cb2 = |c_b|^2, tp + i im =
+    c_a* c_b e^(-i tau) and sz is the spin's z component.  Returns
+    (rho dxi/dtau, rho xi^2 dtheta/dtau, rho xi dphi/dtau, rho); no guard
+    fires here.
     """
-    ct = xp.cos(theta)
     ex1 = xp.exp(-xi)
     exh = xp.exp(-0.5 * xi)
     u1 = N1 * ex1
@@ -363,8 +399,9 @@ def guidance_current(xp, xi, theta, sn, ca2, cb2, tp, im, sz):
 def _numpy_rates(xi, theta, terms, sz):
     """(dxi, dtheta, dphi, rho) through numpy from the cross terms at tau."""
     ca2, cb2, tp, im = terms
+    sn, ct = _sincos(theta)
     j_xi, j_theta, j_phi, rho = guidance_current(
-        np, xi, theta, np.sin(theta), ca2, cb2, tp, im, sz
+        np, xi, sn, ct, ca2, cb2, tp, im, sz
     )
     return j_xi / rho, j_theta / (xi * xi * rho), j_phi / (xi * rho), rho
 
@@ -443,7 +480,7 @@ def pauli_current(
     cb2 = cb.real * cb.real + cb.imag * cb.imag
     m = ca.conjugate() * cb * cmath.exp(-1j * reduce_angle(tau))
     j_xi, j_theta, j_phi, _ = guidance_current(
-        math, xi, point.theta, st, ca2, cb2, m.real, m.imag, spin.s_z
+        math, xi, st, math.cos(point.theta), ca2, cb2, m.real, m.imag, spin.s_z
     )
     return j_xi, j_theta / (xi * xi), j_phi / xi
 

@@ -148,6 +148,19 @@ def test_field_bounds():
         ({"directory": ""}, "output.directory"),
         ({"formats": ()}, "output.formats"),
         ({"formats": ("csv", "yaml")}, "output.formats"),
+        ({"E0_volts_per_meter": math.inf}, "drive.E0_volts_per_meter"),
+        ({"detuning_per_second": math.inf}, "drive.detuning_per_second"),
+        ({"omega0_per_second": math.nan}, "drive.omega0_per_second"),
+        ({"xi": math.inf}, "initial.xi"),
+        ({"phi": -math.inf}, "initial.phi"),
+        ({"mode": "frozen", "c1_re": math.nan}, "coefficients.c1_re"),
+        ({"c1_im": math.inf}, "coefficients.c1_im"),
+        ({"c2_re": -math.inf}, "coefficients.c2_re"),
+        ({"c2_im": math.nan}, "coefficients.c2_im"),
+        ({"tau_max": math.inf}, "integrate.tau_max"),
+        ({"abs_tol": math.inf}, "integrate.abs_tol"),
+        ({"max_step": math.inf}, "integrate.max_step"),
+        ({"output_stride": math.nan}, "integrate.output_stride"),
     ]
     for fields, fragment in cases:
         with pytest.raises(ConfigError, match=fragment.replace(".", r"\.")):

@@ -38,6 +38,7 @@ from pilotwave import (
 )
 from pilotwave.dynamics import (
     SPIN_UP,
+    _sincos,
     continuity_defect,
     make_batch_rhs,
     make_scalar_rhs,
@@ -206,6 +207,31 @@ def test_batch_rhs_matches_scalar_rhs(reference_drive, kind):
         assert abs(dth_b[i] - dth_) < 5e-15
         assert abs(dphi_b[i] - dphi) < 5e-15
         assert math.isclose(rho_b[i], rho, rel_tol=1e-13)
+
+
+@pytest.mark.parametrize(
+    "lo, hi", [(-math.pi, math.pi), (1e-6, math.pi - 1e-6), (0.0, 3.5)]
+)
+def test_sincos_matches_libm(lo, hi):
+    # The batch rhs's sine and cosine come from one tangent of the half
+    # angle.  Measured on 2e6 points per range: sin at most 3.0 ulp
+    # relative, sin and cos at most 3.33e-16 absolute.
+    x = np.random.default_rng(3).uniform(lo, hi, 10**6)
+    sn, ct = _sincos(x)
+    want_sn, want_ct = np.sin(x), np.cos(x)
+    assert np.all(np.abs(sn - want_sn) <= 4.0 * np.spacing(np.abs(want_sn)))
+    assert np.max(np.abs(sn - want_sn)) <= 4.5e-16
+    assert np.max(np.abs(ct - want_ct)) <= 4.5e-16
+
+
+def test_sincos_special_values():
+    x = np.array([math.pi, -math.pi, 0.0, 1e-300])
+    sn, ct = _sincos(x)
+    for got, want in ((sn, np.sin(x)), (ct, np.cos(x))):
+        assert np.all(np.abs(got - want) <= np.spacing(np.abs(want)))
+    with np.errstate(invalid="ignore"):
+        bad = _sincos(np.array([math.nan, math.inf, -math.inf]))
+    assert all(np.isnan(k).all() for k in bad)
 
 
 @pytest.mark.parametrize("kind", ["frozen", "numeric"])

@@ -215,14 +215,20 @@ def test_batch_rhs_reuses_cross_terms_only_at_equal_times(reference_drive):
 
 
 def test_row_rhs_equals_batch_rhs_bitwise(reference_drive):
-    # The row rhs runs the batch rhs's numpy code on floats; np.sin,
+    # The row rhs runs the batch rhs's numpy code on floats; np.tan,
     # np.exp and friends round a scalar as they round an array element.
     rng = np.random.default_rng(8)
     n = 2000
     tau = rng.uniform(0.0, 9000.0, n)
-    tau[1::2] = tau[::2]  # repeated times go through the row rhs's memo
     xi = rng.uniform(1e-3, 30.0, n)
     theta = rng.uniform(1e-6, math.pi - 1e-6, n)
+    # As many rows again past the axis, where sweep trial stages reach,
+    # and to tau = 2e4, where the fast phase's reduction is largest.
+    tau = np.concatenate([tau, rng.uniform(0.0, 2e4, n)])
+    xi = np.concatenate([xi, rng.uniform(1e-3, 30.0, n)])
+    theta = np.concatenate([theta, rng.uniform(-1.0, math.pi + 1.0, n)])
+    tau[1::2] = tau[::2]  # repeated times go through the row rhs's memo
+    n = len(tau)
     for source in _sources(reference_drive):
         batch = make_batch_rhs(source)(tau, xi, theta)
         row = make_row_rhs(source)
