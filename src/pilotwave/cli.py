@@ -23,16 +23,13 @@ import os
 import sys
 from dataclasses import replace
 from datetime import datetime, timezone
+from types import SimpleNamespace
 
 import numpy as np
 
 from .config import RunConfig, load_config, load_preset, serialize_config
 from .drive import coefficient_arrays, envelope_T, envelope_Tprime
-from .engine import (
-    DEFAULT_SPLIT_BOUNDARIES,
-    VERSION_TAG,
-    integrate,
-)
+from .engine import VERSION_TAG, integrate, split_intervals
 # evolve_ensemble stays bound here: perfbench/layers.py wraps
 # cli.evolve_ensemble by name.
 from .ensemble import (
@@ -59,21 +56,45 @@ CSV_HEADER = (
 CSV_COLUMNS = CSV_HEADER.split(",")
 
 COEFF_HEADER = "tau,ca_re,ca_im,cb_re,cb_im,cb_sq,T,Tprime"
+COEFF_COLUMNS = COEFF_HEADER.split(",")
 
-PLOT_MODES = ("3d", "split", "phi", "dphi", "energy")
+# plotdata mode -> the trajectory columns of its plot_<mode>.dat.  split
+# writes the 3d columns cut at engine.DEFAULT_SPLIT_BOUNDARIES into
+# plot_split_<k>.dat, one file per regime.
+PLOT_COLUMNS = {
+    "3d": ("x", "y", "z"),
+    "split": ("x", "y", "z"),
+    "phi": ("tau", "phi"),
+    "dphi": ("tau", "dphi_dtau"),
+    "energy": ("tau", "energy_eV"),
+}
+PLOT_MODES = tuple(PLOT_COLUMNS)
 
 
 def _timestamp() -> str:
     return datetime.now(timezone.utc).isoformat()
 
 
-def _write_text(path: str, text: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
-
-
 def _write_json(path: str, doc: dict) -> None:
-    _write_text(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+
+
+def _write_rows(path: str, columns: dict, header: bool = True) -> None:
+    """Write equal-length named columns as text, one line per row.
+
+    A CSV with a header line of the column names or, with header=False,
+    whitespace-delimited plot data.  Each value is written as the repr
+    of its float (boolean columns as 0 or 1), one row at a time, so no
+    formatted copy of the table is held in memory.
+    """
+    sep = "," if header else " "
+    kinds = [int if col.dtype == bool else float for col in columns.values()]
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        if header:
+            fh.write(sep.join(columns) + "\n")
+        for row in zip(*columns.values()):
+            fh.write(sep.join([repr(k(v)) for k, v in zip(kinds, row)]) + "\n")
 
 
 def _ensure_dir(path: str) -> None:
@@ -131,30 +152,16 @@ def cmd_simulate(args) -> int:
 
 def _write_trajectory_csv(path: str, result) -> None:
     st = np.sin(result.theta)
-    x = result.xi * st * np.cos(result.phi)
-    y = result.xi * st * np.sin(result.phi)
-    z = result.xi * np.cos(result.theta)
-    lines = [CSV_HEADER]
-    for i in range(len(result.tau)):
-        row = [
-            repr(float(result.tau[i])),
-            repr(float(result.xi[i])),
-            repr(float(result.theta[i])),
-            repr(float(result.phi[i])),
-            repr(float(x[i])),
-            repr(float(y[i])),
-            repr(float(z[i])),
-            repr(float(result.dxi[i])),
-            repr(float(result.dtheta[i])),
-            repr(float(result.dphi[i])),
-            repr(float(result.energy_eV[i])),
-            repr(float(result.cb_sq[i])),
-            repr(float(result.surface_residual[i])),
-            repr(float(result.rho[i])),
-            "1" if result.clipped[i] else "0",
-        ]
-        lines.append(",".join(row))
-    _write_text(path, "\n".join(lines) + "\n")
+    cols = dict(
+        vars(result),
+        x=result.xi * st * np.cos(result.phi),
+        y=result.xi * st * np.sin(result.phi),
+        z=result.xi * np.cos(result.theta),
+        dxi_dtau=result.dxi,
+        dtheta_dtau=result.dtheta,
+        dphi_dtau=result.dphi,
+    )
+    _write_rows(path, {c: cols[c] for c in CSV_COLUMNS})
 
 
 # ---------------------------------------------------------------------------
@@ -223,40 +230,26 @@ def cmd_ensemble(args) -> int:
 
 
 def _write_histogram_csv(path: str, summaries) -> None:
-    lines = ["tau_target,xi_lo,xi_hi,mu_lo,mu_hi,observed,expected"]
+    # Per target: the bins row-major over (xi bin, mu bin), then the
+    # overflow row of every xi beyond the last edge.
+    blocks = []
     for s in summaries:
         nb = s.bins
         xi_edges = np.linspace(0.0, XI_MAX_BIN, nb + 1)
         mu_edges = np.linspace(-1.0, 1.0, nb + 1)
-        for i in range(nb):
-            for j in range(nb):
-                lines.append(
-                    ",".join(
-                        [
-                            repr(float(s.tau_target)),
-                            repr(float(xi_edges[i])),
-                            repr(float(xi_edges[i + 1])),
-                            repr(float(mu_edges[j])),
-                            repr(float(mu_edges[j + 1])),
-                            repr(float(s.observed[i, j])),
-                            repr(float(s.expected[i, j])),
-                        ]
-                    )
-                )
-        lines.append(
-            ",".join(
-                [
-                    repr(float(s.tau_target)),
-                    repr(float(xi_edges[-1])),
-                    "inf",
-                    "-1.0",
-                    "1.0",
-                    repr(float(s.observed_overflow)),
-                    repr(float(s.expected_overflow)),
-                ]
-            )
+        blocks.append(
+            {
+                "tau_target": np.full(nb * nb + 1, float(s.tau_target)),
+                "xi_lo": np.append(np.repeat(xi_edges[:-1], nb), xi_edges[-1]),
+                "xi_hi": np.append(np.repeat(xi_edges[1:], nb), np.inf),
+                "mu_lo": np.append(np.tile(mu_edges[:-1], nb), -1.0),
+                "mu_hi": np.append(np.tile(mu_edges[1:], nb), 1.0),
+                "observed": np.append(s.observed, s.observed_overflow),
+                "expected": np.append(s.expected, s.expected_overflow),
+            }
         )
-    _write_text(path, "\n".join(lines) + "\n")
+    columns = {k: np.concatenate([b[k] for b in blocks]) for k in blocks[0]}
+    _write_rows(path, columns)
 
 
 # ---------------------------------------------------------------------------
@@ -272,26 +265,18 @@ def cmd_coefficients(args) -> int:
     tau = np.arange(n + 1) * cfg.output_stride
     tau[-1] = min(tau[-1], cfg.tau_max)
     c_a, c_b = coefficient_arrays(tau, drive)
-    cb_sq = np.abs(c_b) ** 2
-    T = envelope_T(tau, drive)
-    Tp = envelope_Tprime(tau, drive)
-    lines = [COEFF_HEADER]
-    for i in range(len(tau)):
-        lines.append(
-            ",".join(
-                [
-                    repr(float(tau[i])),
-                    repr(float(c_a[i].real)),
-                    repr(float(c_a[i].imag)),
-                    repr(float(c_b[i].real)),
-                    repr(float(c_b[i].imag)),
-                    repr(float(cb_sq[i])),
-                    repr(float(T[i])),
-                    repr(float(Tp[i])),
-                ]
-            )
-        )
-    _write_text(os.path.join(out, "coefficients.csv"), "\n".join(lines) + "\n")
+    cols = {
+        "tau": tau,
+        "ca_re": c_a.real,
+        "ca_im": c_a.imag,
+        "cb_re": c_b.real,
+        "cb_im": c_b.imag,
+        "cb_sq": np.abs(c_b) ** 2,
+        "T": envelope_T(tau, drive),
+        "Tprime": envelope_Tprime(tau, drive),
+    }
+    path = os.path.join(out, "coefficients.csv")
+    _write_rows(path, {c: cols[c] for c in COEFF_COLUMNS})
     print("coefficients: %d rows in %s" % (len(tau), out))
     return 0
 
@@ -365,58 +350,23 @@ def _read_trajectory_csv(path: str):
     return {name: data[:, k] for k, name in enumerate(CSV_COLUMNS)}
 
 
-def _fmt_plot_rows(columns) -> str:
-    lines = []
-    for row in zip(*columns):
-        lines.append(" ".join(repr(float(v)) for v in row))
-    return "\n".join(lines) + "\n"
-
-
 def cmd_plotdata(args) -> int:
     cols = _read_trajectory_csv(args.trajectory)
     out = args.out if args.out else "."
     _ensure_dir(out)
-    mode = args.mode
-    written = []
-    if mode == "3d":
-        path = os.path.join(out, "plot_3d.dat")
-        _write_text(path, _fmt_plot_rows((cols["x"], cols["y"], cols["z"])))
-        written.append(path)
-    elif mode == "split":
-        tau = cols["tau"]
-        bounds = [float(b) for b in DEFAULT_SPLIT_BOUNDARIES]
-        for b in bounds:
-            if not tau[0] < b < tau[-1]:
-                raise ConfigError(
-                    "split boundary %r lies outside the sampled span [%r, %r]"
-                    % (b, float(tau[0]), float(tau[-1]))
-                )
-        ends = np.searchsorted(tau, bounds, side="right") - 1
-        starts = [0] + [int(e) + 1 for e in ends]
-        stops = [int(e) for e in ends] + [len(tau) - 1]
-        for k, (a, b) in enumerate(zip(starts, stops), start=1):
-            path = os.path.join(out, "plot_split_%d.dat" % (k,))
-            sel = slice(a, b + 1)
-            _write_text(
-                path,
-                _fmt_plot_rows((cols["x"][sel], cols["y"][sel], cols["z"][sel])),
-            )
-            written.append(path)
-    elif mode == "phi":
-        path = os.path.join(out, "plot_phi.dat")
-        _write_text(path, _fmt_plot_rows((cols["tau"], cols["phi"])))
-        written.append(path)
-    elif mode == "dphi":
-        path = os.path.join(out, "plot_dphi.dat")
-        _write_text(path, _fmt_plot_rows((cols["tau"], cols["dphi_dtau"])))
-        written.append(path)
-    elif mode == "energy":
-        path = os.path.join(out, "plot_energy.dat")
-        _write_text(path, _fmt_plot_rows((cols["tau"], cols["energy_eV"])))
-        written.append(path)
+    if args.mode == "split":
+        ranges = split_intervals(SimpleNamespace(tau=cols["tau"]))
+        files = [
+            ("plot_split_%d.dat" % (k,), slice(a, b + 1))
+            for k, (a, b) in enumerate(ranges, start=1)
+        ]
     else:
-        raise ConfigError("unknown plotdata mode %r" % (mode,))
-    for path in written:
+        files = [("plot_%s.dat" % (args.mode,), slice(None))]
+    for name, rows in files:
+        path = os.path.join(out, name)
+        _write_rows(
+            path, {c: cols[c][rows] for c in PLOT_COLUMNS[args.mode]}, header=False
+        )
         print("plotdata: wrote %s" % (path,))
     return 0
 

@@ -26,32 +26,96 @@ from .drive import (
     NumericSource,
     derive_drive,
 )
+from .dynamics import AXIS_GUARD_INITIAL
 from .engine import IntegratorConfig
 from .errors import ConfigError
 from .wavefield import SpatialPoint
 
 PRESETS = ("fig1", "fig2")
 
-# Section -> keys accepted there.  The parser rejects anything else.
+
+def _float(section: str, key: str, raw: str) -> float:
+    try:
+        return float(raw)
+    except ValueError:
+        raise ConfigError(
+            "%s.%s expects a number, got %r" % (section, key, raw)
+        ) from None
+
+
+def _optional_float(section: str, key: str, raw: str) -> Optional[float]:
+    if raw.strip().lower() == "none":
+        return None
+    return _float(section, key, raw)
+
+
+def _int(section: str, key: str, raw: str) -> int:
+    try:
+        return int(raw)
+    except ValueError:
+        raise ConfigError(
+            "%s.%s expects an integer, got %r" % (section, key, raw)
+        ) from None
+
+
+def _float_list(section: str, key: str, raw: str) -> tuple:
+    parts = [p for p in raw.replace(",", " ").split() if p]
+    if not parts:
+        raise ConfigError("%s.%s must list at least one value" % (section, key))
+    return tuple(_float(section, key, p) for p in parts)
+
+
+def _str_list(section: str, key: str, raw: str) -> tuple:
+    parts = [p.strip() for p in raw.split(",") if p.strip()]
+    if not parts:
+        raise ConfigError("%s.%s must list at least one value" % (section, key))
+    return tuple(parts)
+
+
+# A value kind: (read raw text, write the value back).  Every kind
+# writes what it reads, so parse(serialize(c)) == c.
+_FLOAT = (_float, repr)
+_OPTIONAL_FLOAT = (_optional_float, lambda v: "none" if v is None else repr(v))
+_INT = (_int, lambda v: "%d" % (v,))
+_FLOAT_LIST = (_float_list, lambda v: ", ".join(repr(t) for t in v))
+_STR_LIST = (_str_list, ", ".join)
+_STR = (lambda section, key, raw: raw.strip(), str)
+
+# Section -> key -> kind, in canonical order.  The parser rejects any
+# other section or key; serialize_config writes every one.
 _SCHEMA = {
-    "drive": (
-        "E0_volts_per_meter",
-        "detuning_per_second",
-        "omega0_per_second",
-        "nu_override_per_second",
-    ),
-    "initial": ("xi", "theta", "phi"),
-    "coefficients": ("mode", "c1_re", "c1_im", "c2_re", "c2_im"),
-    "integrate": ("tau_max", "rel_tol", "abs_tol", "max_step", "output_stride"),
-    "ensemble": ("count", "seed", "tau_targets", "bins"),
-    "output": ("directory", "formats"),
+    "drive": {
+        "E0_volts_per_meter": _FLOAT,
+        "detuning_per_second": _FLOAT,
+        "omega0_per_second": _OPTIONAL_FLOAT,
+        "nu_override_per_second": _OPTIONAL_FLOAT,
+    },
+    "initial": {"xi": _FLOAT, "theta": _FLOAT, "phi": _FLOAT},
+    "coefficients": {
+        "mode": _STR,
+        "c1_re": _FLOAT,
+        "c1_im": _FLOAT,
+        "c2_re": _FLOAT,
+        "c2_im": _FLOAT,
+    },
+    "integrate": {
+        "tau_max": _FLOAT,
+        "rel_tol": _FLOAT,
+        "abs_tol": _FLOAT,
+        "max_step": _FLOAT,
+        "output_stride": _FLOAT,
+    },
+    "ensemble": {
+        "count": _INT,
+        "seed": _INT,
+        "tau_targets": _FLOAT_LIST,
+        "bins": _INT,
+    },
+    "output": {"directory": _STR, "formats": _STR_LIST},
 }
 
 _MODES = ("analytic", "frozen", "numeric")
 _FORMATS = ("csv", "json")
-
-# Minimum sin(theta) for an initial point; mirrors the engine guard.
-_AXIS_MIN_SIN = 1e-3
 
 
 @dataclass(frozen=True)
@@ -114,11 +178,11 @@ class RunConfig:
             )
         if not self.xi > 0.0:
             raise ConfigError("initial.xi must be positive, got %r" % (self.xi,))
-        if not 0.0 < self.theta < math.pi or math.sin(self.theta) < _AXIS_MIN_SIN:
+        if not 0.0 < self.theta < math.pi or math.sin(self.theta) < AXIS_GUARD_INITIAL:
             raise ConfigError(
                 "initial.theta = %r violates the axis exclusion: the "
                 "azimuth is undefined on the z-axis, so sin(theta) must "
-                "be at least %g" % (self.theta, _AXIS_MIN_SIN)
+                "be at least %g" % (self.theta, AXIS_GUARD_INITIAL)
             )
         if self.mode not in _MODES:
             raise ConfigError(
@@ -222,44 +286,6 @@ class RunConfig:
 # ---------------------------------------------------------------------------
 
 
-def _float(section: str, key: str, raw: str) -> float:
-    try:
-        return float(raw)
-    except ValueError:
-        raise ConfigError(
-            "%s.%s expects a number, got %r" % (section, key, raw)
-        ) from None
-
-
-def _optional_float(section: str, key: str, raw: str) -> Optional[float]:
-    if raw.strip().lower() == "none":
-        return None
-    return _float(section, key, raw)
-
-
-def _int(section: str, key: str, raw: str) -> int:
-    try:
-        return int(raw)
-    except ValueError:
-        raise ConfigError(
-            "%s.%s expects an integer, got %r" % (section, key, raw)
-        ) from None
-
-
-def _float_list(section: str, key: str, raw: str) -> tuple:
-    parts = [p for p in raw.replace(",", " ").split() if p]
-    if not parts:
-        raise ConfigError("%s.%s must list at least one value" % (section, key))
-    return tuple(_float(section, key, p) for p in parts)
-
-
-def _str_list(section: str, key: str, raw: str) -> tuple:
-    parts = [p.strip() for p in raw.split(",") if p.strip()]
-    if not parts:
-        raise ConfigError("%s.%s must list at least one value" % (section, key))
-    return tuple(parts)
-
-
 def parse_config_text(text: str) -> RunConfig:
     """Parse an INI document into a validated RunConfig."""
     parser = configparser.ConfigParser(interpolation=None)
@@ -283,18 +309,8 @@ def parse_config_text(text: str) -> RunConfig:
                     "unknown key %s.%s; %s accepts %s"
                     % (section, key, section, ", ".join(allowed))
                 )
-            if key in ("omega0_per_second", "nu_override_per_second"):
-                updates[key] = _optional_float(section, key, raw)
-            elif key in ("count", "seed", "bins"):
-                updates[key] = _int(section, key, raw)
-            elif key == "tau_targets":
-                updates[key] = _float_list(section, key, raw)
-            elif key == "formats":
-                updates[key] = _str_list(section, key, raw)
-            elif key in ("mode", "directory"):
-                updates[key] = raw.strip()
-            else:
-                updates[key] = _float(section, key, raw)
+            read, _ = allowed[key]
+            updates[key] = read(section, key, raw)
     return replace(RunConfig(), **updates).validate()
 
 
@@ -305,51 +321,12 @@ def serialize_config(cfg: RunConfig) -> str:
     word none.  Floats are written with repr so parse(serialize(c))
     round-trips to c exactly and re-serializing is idempotent.
     """
-    lines = ["[drive]"]
-    lines.append("E0_volts_per_meter = %r" % (cfg.E0_volts_per_meter,))
-    lines.append("detuning_per_second = %r" % (cfg.detuning_per_second,))
-    lines.append(
-        "omega0_per_second = %s"
-        % ("none" if cfg.omega0_per_second is None else repr(cfg.omega0_per_second))
-    )
-    lines.append(
-        "nu_override_per_second = %s"
-        % (
-            "none"
-            if cfg.nu_override_per_second is None
-            else repr(cfg.nu_override_per_second)
-        )
-    )
-    lines.append("")
-    lines.append("[initial]")
-    lines.append("xi = %r" % (cfg.xi,))
-    lines.append("theta = %r" % (cfg.theta,))
-    lines.append("phi = %r" % (cfg.phi,))
-    lines.append("")
-    lines.append("[coefficients]")
-    lines.append("mode = %s" % (cfg.mode,))
-    lines.append("c1_re = %r" % (cfg.c1_re,))
-    lines.append("c1_im = %r" % (cfg.c1_im,))
-    lines.append("c2_re = %r" % (cfg.c2_re,))
-    lines.append("c2_im = %r" % (cfg.c2_im,))
-    lines.append("")
-    lines.append("[integrate]")
-    lines.append("tau_max = %r" % (cfg.tau_max,))
-    lines.append("rel_tol = %r" % (cfg.rel_tol,))
-    lines.append("abs_tol = %r" % (cfg.abs_tol,))
-    lines.append("max_step = %r" % (cfg.max_step,))
-    lines.append("output_stride = %r" % (cfg.output_stride,))
-    lines.append("")
-    lines.append("[ensemble]")
-    lines.append("count = %d" % (cfg.count,))
-    lines.append("seed = %d" % (cfg.seed,))
-    lines.append("tau_targets = %s" % (", ".join(repr(t) for t in cfg.tau_targets),))
-    lines.append("bins = %d" % (cfg.bins,))
-    lines.append("")
-    lines.append("[output]")
-    lines.append("directory = %s" % (cfg.directory,))
-    lines.append("formats = %s" % (", ".join(cfg.formats),))
-    lines.append("")
+    lines = []
+    for section, keys in _SCHEMA.items():
+        lines.append("[%s]" % (section,))
+        for key, (_, write) in keys.items():
+            lines.append("%s = %s" % (key, write(getattr(cfg, key))))
+        lines.append("")
     return "\n".join(lines)
 
 

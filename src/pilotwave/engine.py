@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -27,6 +27,7 @@ import numpy as np
 from . import observables
 from .drive import DriveParameters, reversal_window
 from .dynamics import (
+    AXIS_GUARD_INITIAL,
     SPIN_UP,
     SpinVector,
     _array_cross,
@@ -64,29 +65,21 @@ class IntegratorConfig:
     def __post_init__(self):
         if not 0.0 < self.rel_tol < 1.0:
             raise ParameterError("rel_tol must lie in (0, 1), got %r" % (self.rel_tol,))
-        if not self.abs_tol > 0.0:
-            raise ParameterError("abs_tol must be positive, got %r" % (self.abs_tol,))
+        for name in ("abs_tol", "rho_floor", "output_stride"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0.0):
+                raise ParameterError(
+                    "%s must be positive and finite, got %r" % (name, value)
+                )
+        # max_step = inf is allowed: no cap on the step size.
         if not 0.0 < self.min_step < self.max_step:
             raise ParameterError(
                 "need 0 < min_step < max_step, got %r, %r"
                 % (self.min_step, self.max_step)
             )
-        if not self.rho_floor > 0.0:
-            raise ParameterError("rho_floor must be positive, got %r" % (self.rho_floor,))
-        if not self.output_stride > 0.0:
-            raise ParameterError(
-                "output_stride must be positive, got %r" % (self.output_stride,)
-            )
 
     def to_dict(self) -> dict:
-        return {
-            "rel_tol": self.rel_tol,
-            "abs_tol": self.abs_tol,
-            "max_step": self.max_step,
-            "min_step": self.min_step,
-            "rho_floor": self.rho_floor,
-            "output_stride": self.output_stride,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -103,18 +96,8 @@ class RunManifest:
     reversal_window: Optional[tuple[float, float]] = None
 
     def to_dict(self) -> dict:
-        return {
-            "version": self.version,
-            "drive": self.drive,
-            "source": self.source,
-            "initial": self.initial,
-            "config": self.config,
-            "tau_max": self.tau_max,
-            "stats": self.stats,
-            "reversal_window": (
-                list(self.reversal_window) if self.reversal_window else None
-            ),
-        }
+        window = self.reversal_window
+        return {**asdict(self), "reversal_window": list(window) if window else None}
 
 
 class TrajectoryResult:
@@ -397,9 +380,9 @@ def integrate(
         tau_max = float(tau_span[1])
     else:
         tau_max = float(tau_span)
-    if tau_max <= 0.0:
-        raise ParameterError("tau_max must be positive, got %r" % (tau_max,))
-    if math.sin(initial.theta) < 1e-3:
+    if not (math.isfinite(tau_max) and tau_max > 0.0):
+        raise ParameterError("tau_max must be positive and finite, got %r" % (tau_max,))
+    if math.sin(initial.theta) < AXIS_GUARD_INITIAL:
         raise ParameterError(
             "initial point too close to the polar axis: sin(theta)=%r < 1e-3"
             % (math.sin(initial.theta),)

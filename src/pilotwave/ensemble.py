@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
@@ -135,23 +135,9 @@ class EnsembleSummary:
 
     def to_dict(self) -> dict:
         return {
-            "count": self.count,
-            "seed": self.seed,
-            "tau_target": self.tau_target,
-            "bins": self.bins,
-            "divergence": self.divergence,
-            "baseline_divergence": self.baseline_divergence,
+            **asdict(self),
             "observed": self.observed.tolist(),
             "expected": self.expected.tolist(),
-            "observed_overflow": self.observed_overflow,
-            "expected_overflow": self.expected_overflow,
-            "mean_energy_eV": self.mean_energy_eV,
-            "se_energy_eV": self.se_energy_eV,
-            "expected_energy_eV": self.expected_energy_eV,
-            "clipped_count": self.clipped_count,
-            "dropout_count": self.dropout_count,
-            "dropout_axis": self.dropout_axis,
-            "dropout_underflow": self.dropout_underflow,
         }
 
 

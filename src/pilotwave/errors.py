@@ -2,7 +2,8 @@
 
 Every error raised on purpose by this package derives from PilotwaveError,
 so callers can catch one base class.  The command-line layer maps each
-subclass to a distinct exit code; see cli.EXIT_CODES.
+subclass to a distinct exit code; the table is in the cli module
+docstring.
 """
 
 

@@ -307,46 +307,50 @@ def check_printed_phi_consistent(drive: DriveParameters, spin: SpinVector) -> Ch
     )
 
 
+def _fd_continuity_residual(source, xi: float, theta: float, tau: float) -> float:
+    """d rho/d tau + div(rho v) at (xi, theta, tau) by central differences."""
+    h = 1e-5
+    drho = (
+        density(xi, theta, tau + h, source.eval(tau + h))
+        - density(xi, theta, tau - h, source.eval(tau - h))
+    ) / (2.0 * h)
+
+    def flux_xi(x):
+        rho = density(x, theta, tau, source.eval(tau))
+        vel = velocity_field(
+            SpatialPoint(xi=x, theta=theta, phi=0.0), tau, source.eval(tau)
+        )
+        return x * x * rho * vel.dxi
+
+    def flux_theta(t):
+        rho = density(xi, t, tau, source.eval(tau))
+        vel = velocity_field(
+            SpatialPoint(xi=xi, theta=t, phi=0.0), tau, source.eval(tau)
+        )
+        return math.sin(t) * rho * vel.dtheta
+
+    div = (flux_xi(xi + h) - flux_xi(xi - h)) / (2.0 * h) / (xi * xi) + (
+        flux_theta(theta + h) - flux_theta(theta - h)
+    ) / (2.0 * h) / math.sin(theta)
+    return drho + div
+
+
 def check_continuity_frozen() -> CheckResult:
     """d rho/d tau + div(rho v) = 0 for a frozen superposition."""
     c1 = complex(math.sqrt(0.7), 0.0)
     c2 = complex(0.3, math.sqrt(0.21))
     source = FrozenSource(c1, c2)
     rng = np.random.Generator(np.random.Philox(_RNG_SEED + 1))
-    h = 1e-5
     worst = 0.0
     checked = 0
     while checked < 100:
         xi = float(rng.uniform(0.8, 8.0))
         theta = float(rng.uniform(0.3, math.pi - 0.3))
         tau = float(rng.uniform(0.0, 1000.0))
-        point = SpatialPoint(xi=xi, theta=theta, phi=0.0)
         if density(xi, theta, tau, source.eval(tau)) < 1e-6:
             continue
         checked += 1
-        drho = (
-            density(xi, theta, tau + h, source.eval(tau + h))
-            - density(xi, theta, tau - h, source.eval(tau - h))
-        ) / (2.0 * h)
-
-        def flux_xi(x):
-            rho = density(x, theta, tau, source.eval(tau))
-            vel = velocity_field(
-                SpatialPoint(xi=x, theta=theta, phi=0.0), tau, source.eval(tau)
-            )
-            return x * x * rho * vel.dxi
-
-        def flux_theta(t):
-            rho = density(xi, t, tau, source.eval(tau))
-            vel = velocity_field(
-                SpatialPoint(xi=xi, theta=t, phi=0.0), tau, source.eval(tau)
-            )
-            return math.sin(t) * rho * vel.dtheta
-
-        div = (flux_xi(xi + h) - flux_xi(xi - h)) / (2.0 * h) / (xi * xi) + (
-            flux_theta(theta + h) - flux_theta(theta - h)
-        ) / (2.0 * h) / math.sin(theta)
-        worst = max(worst, abs(drho + div))
+        worst = max(worst, abs(_fd_continuity_residual(source, xi, theta, tau)))
     return _result("continuity-frozen", worst, 1e-6, "100 random points")
 
 
@@ -371,34 +375,12 @@ def check_sheet_matches_velocity(drive: DriveParameters, spin: SpinVector) -> Ch
 def check_continuity_driven_defect(drive: DriveParameters) -> CheckResult:
     """FD continuity residue of the driven state equals its closed form."""
     source = AnalyticSource(drive)
-    h = 1e-5
     worst = 0.0
     for xi, theta, tau in ((3.0, 1.2, 400.0), (5.0, 2.1, 5000.0), (2.2, 0.7, 9000.0)):
         point = SpatialPoint(xi=xi, theta=theta, phi=0.0)
-        drho = (
-            density(xi, theta, tau + h, source.eval(tau + h))
-            - density(xi, theta, tau - h, source.eval(tau - h))
-        ) / (2.0 * h)
-
-        def flux_xi(x):
-            rho = density(x, theta, tau, source.eval(tau))
-            vel = velocity_field(
-                SpatialPoint(xi=x, theta=theta, phi=0.0), tau, source.eval(tau)
-            )
-            return x * x * rho * vel.dxi
-
-        def flux_theta(t):
-            rho = density(xi, t, tau, source.eval(tau))
-            vel = velocity_field(
-                SpatialPoint(xi=xi, theta=t, phi=0.0), tau, source.eval(tau)
-            )
-            return math.sin(t) * rho * vel.dtheta
-
-        div = (flux_xi(xi + h) - flux_xi(xi - h)) / (2.0 * h) / (xi * xi) + (
-            flux_theta(theta + h) - flux_theta(theta - h)
-        ) / (2.0 * h) / math.sin(theta)
         defect = continuity_defect(point, tau, drive)
-        worst = max(worst, abs(drho + div - defect))
+        residual = _fd_continuity_residual(source, xi, theta, tau)
+        worst = max(worst, abs(residual - defect))
     return _result(
         "continuity-driven",
         worst,

@@ -24,7 +24,7 @@ from pilotwave import (
     parse_config_text,
     serialize_config,
 )
-from pilotwave.config import PRESETS
+from pilotwave.config import _SCHEMA, PRESETS
 
 
 # ---------------------------------------------------------------------------
@@ -58,6 +58,84 @@ def test_parse_serialize_round_trip_modified():
     assert parse_config_text(text) == cfg
     # Serializing the parsed config reproduces the text: idempotence.
     assert serialize_config(parse_config_text(text)) == text
+
+
+def test_round_trip_moves_every_schema_key():
+    # Every key off its default, so each kind's reader and writer is
+    # exercised: optional floats both none and a number, awkward reprs,
+    # a multi-entry float list and a reordered string list.
+    cfg = replace(
+        RunConfig(),
+        E0_volts_per_meter=1.25e8,
+        detuning_per_second=0.0,
+        omega0_per_second=None,
+        nu_override_per_second=3.3e12,
+        xi=2.7,
+        theta=2.9,
+        phi=-0.3,
+        mode="numeric",
+        c1_re=0.1,
+        c1_im=-0.2,
+        c2_re=1.0 / 3.0,
+        c2_im=1e-300,
+        tau_max=1234.5,
+        rel_tol=3e-7,
+        abs_tol=1e-12,
+        max_step=0.25,
+        output_stride=0.1,
+        count=17,
+        seed=0,
+        tau_targets=(0.0, 1e3, 0.1),
+        bins=7,
+        directory="runs/a b",
+        formats=("json", "csv"),
+    )
+    keys = [key for section in _SCHEMA.values() for key in section]
+    assert len(keys) == 23
+    moved = [key for key in keys if getattr(cfg, key) != getattr(RunConfig(), key)]
+    assert moved == keys
+    text = serialize_config(cfg)
+    assert parse_config_text(text) == cfg
+    assert serialize_config(parse_config_text(text)) == text
+
+
+def test_default_canonical_document():
+    assert serialize_config(RunConfig()) == (
+        "[drive]\n"
+        "E0_volts_per_meter = 88000000.0\n"
+        "detuning_per_second = 1550000000000.0\n"
+        "omega0_per_second = 1.549e+16\n"
+        "nu_override_per_second = -5100000000000.0\n"
+        "\n"
+        "[initial]\n"
+        "xi = 4.0\n"
+        "theta = 1.0\n"
+        "phi = 0.0\n"
+        "\n"
+        "[coefficients]\n"
+        "mode = analytic\n"
+        "c1_re = 1.0\n"
+        "c1_im = 0.0\n"
+        "c2_re = 0.0\n"
+        "c2_im = 0.0\n"
+        "\n"
+        "[integrate]\n"
+        "tau_max = 10000.0\n"
+        "rel_tol = 1e-08\n"
+        "abs_tol = 1e-10\n"
+        "max_step = 1.0\n"
+        "output_stride = 1.0\n"
+        "\n"
+        "[ensemble]\n"
+        "count = 10000\n"
+        "seed = 20260819\n"
+        "tau_targets = 2000.0\n"
+        "bins = 20\n"
+        "\n"
+        "[output]\n"
+        "directory = out\n"
+        "formats = csv, json\n"
+    )
 
 
 def test_partial_document_overrides_only_named_keys():

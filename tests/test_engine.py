@@ -238,6 +238,11 @@ def test_config_validation():
         IntegratorConfig(output_stride=0.0)
     with pytest.raises(ParameterError):
         IntegratorConfig(rho_floor=0.0)
+    for field in ("abs_tol", "rho_floor", "output_stride"):
+        with pytest.raises(ParameterError, match=field + " must be positive"):
+            IntegratorConfig(**{field: math.inf})
+    # An infinite max_step means no cap on the step size.
+    assert IntegratorConfig(max_step=math.inf).max_step == math.inf
 
 
 def test_bad_span_and_axis_start(reference_drive):
@@ -246,6 +251,9 @@ def test_bad_span_and_axis_start(reference_drive):
         integrate(SpatialPoint(xi=4.0, theta=1.0), 0.0, src)
     with pytest.raises(ParameterError):
         integrate(SpatialPoint(xi=4.0, theta=1.0), -5.0, src)
+    for tau_max in (math.inf, math.nan):
+        with pytest.raises(ParameterError, match="tau_max must be positive and finite"):
+            integrate(SpatialPoint(xi=4.0, theta=1.0), tau_max, src)
     with pytest.raises(ParameterError):
         integrate(SpatialPoint(xi=4.0, theta=1e-4), 10.0, src)
 
