@@ -84,11 +84,5 @@ class PhysicalConstants:
         """Transition angular frequency (E2 - E1)/hbar in 1/s."""
         return -0.75 * self.E1_eV * self.eV_J / self.hbar_Js
 
-    @property
-    def velocity_scale(self) -> float:
-        """hbar/(m a^2 omega0); equals 8/3 up to the rounding of the inputs."""
-        a = self.bohr_radius_m
-        return self.hbar_Js / (self.electron_mass_kg * a * a * self.omega0_ps)
-
 
 CODATA = PhysicalConstants()

@@ -34,6 +34,15 @@ and evaluate to
          + sin sigma~tau sin omega~tau)
 
 with omega~ = 1 - Omega~ the drive frequency in units of omega0.
+
+The guidance law and the energies read the amplitudes through four
+terms, |c_a|^2, |c_b|^2 and the real and imaginary parts of
+c_a* c_b exp(-i tau).  Each coefficient source gives them through its
+cross_terms(xp), on floats or arrays; their closed form is written
+once, in _closed_form_terms, and transition_probability, envelope_T
+and envelope_Tprime read it.  coefficients, coefficient_arrays and
+solve_coefficients_numeric stay complex-arithmetic routes, so the
+checks that compare them with the closed form compare separate code.
 """
 
 from __future__ import annotations
@@ -174,9 +183,11 @@ def derive_drive(
         Replace the CODATA-derived transition frequency, e.g. to match
         a rounded printed value.
     """
-    if not E0_Vpm > 0.0:
-        raise ParameterError("field amplitude E0 must be positive, got %r" % (E0_Vpm,))
-    if Omega_ps < 0.0:
+    if not (math.isfinite(E0_Vpm) and E0_Vpm > 0.0):
+        raise ParameterError(
+            "field amplitude E0 must be positive and finite, got %r" % (E0_Vpm,)
+        )
+    if not Omega_ps >= 0.0:
         raise ParameterError("detuning Omega must be non-negative, got %r" % (Omega_ps,))
     if Omega_ps > DETUNING_HARD_LIMIT_PS:
         raise ParameterError(
@@ -276,39 +287,82 @@ def coefficient_arrays(tau, drive: DriveParameters):
     return c_a, c_b
 
 
+def _sincos(x):
+    """(sin x, cos x) from one tangent, through numpy.
+
+    With t = tan(x/2) and e = 2/(1 + t^2), sin x = t e and cos x = e - 1.
+    This numpy runs float64 np.tan as a SIMD loop, at a quarter or less
+    of the cost of its scalar-libm np.sin or np.cos per element.  sin
+    stays within a few ulp relative, and both stay within a few ulp of 1
+    absolute; cos near its zeros is accurate in that absolute sense
+    only, as is any cos of a rounded angle.  NaN and +-inf give NaN, as
+    np.sin does.  A Python float (the row rhs) gives numpy scalars,
+    rounded as the same value in an array would be.
+    """
+    t = np.tan(0.5 * x)
+    e = 2.0 / (1.0 + t * t)
+    return t * e, e - 1.0
+
+
+def _closed_form_terms(xp, drive: DriveParameters, rn: float):
+    """tau -> (ca2, cb2, tp, im) of the closed-form amplitudes.
+
+    ca2 = |c_a|^2, cb2 = |c_b|^2 and tp + i im = c_a* c_b e^(-i tau),
+    from two angles, the Rabi half angle and the reduced fast phase
+    omega~ tau, with rn standing for nu/sigma.  xp is math for Python
+    floats or numpy for arrays.  Floats take each angle's sine and
+    cosine from math.sin and math.cos, which on one float cost less than
+    any helper call would, and reduce with round; arrays take them from
+    one _sincos call and reduce with np.rint (which rounds as np.round
+    does at zero decimals but skips its Python-level wrapper).  Both
+    round halves to even, so angles reduce alike.
+    """
+    arrays = xp is np
+    rint = np.rint if arrays else round
+    rO, sigma_t, omega_t = drive.ratio_Omega, drive.sigma_t, drive.omega_t
+
+    def cross(tau):
+        half = 0.5 * sigma_t * tau
+        w = omega_t * tau
+        w = w - TWO_PI * rint(w / TWO_PI)
+        if arrays:
+            sh, ch = _sincos(half)
+            sw, cw = _sincos(w)
+        else:
+            sh, ch = math.sin(half), math.cos(half)
+            sw, cw = math.sin(w), math.cos(w)
+        q = rn * sh
+        cb2 = q * q
+        tp = -q * (rO * sh * cw + ch * sw)
+        im = q * (rO * sh * sw - ch * cw)
+        return 1.0 - cb2, cb2, tp, im
+
+    return cross
+
+
+def _closed_form_at(tau, drive: DriveParameters, rn: float, part: int):
+    """One of the closed-form (ca2, cb2, tp, im) at scalar or array tau."""
+    out = _closed_form_terms(np, drive, rn)(np.asarray(tau, dtype=float))[part]
+    return float(out) if np.ndim(out) == 0 else out
+
+
 def transition_probability(tau, drive: DriveParameters):
     """|c_b|^2 = (nu/sigma)^2 sin^2(sigma~ tau / 2); scalar or array."""
-    s = np.sin(0.5 * drive.sigma_t * np.asarray(tau, dtype=float))
-    out = drive.peak_transition_probability * s * s
-    return float(out) if out.ndim == 0 else out
-
-
-def transition_probability_scalar(tau: float, drive: DriveParameters) -> float:
-    """|c_b|^2 in plain math, for scalar callers."""
-    s = math.sin(0.5 * drive.sigma_t * tau)
-    return drive.peak_transition_probability * s * s
+    return _closed_form_at(tau, drive, drive.ratio_nu, 1)
 
 
 def envelope_T(tau, drive: DriveParameters):
-    """Slow/fast envelope T with (nu/2sigma) T = Im{c_a* c_b e^(-i tau)}."""
-    tau = np.asarray(tau, dtype=float)
-    s = reduce_angle(drive.sigma_t * tau)
-    w = reduce_angle(drive.omega_t * tau)
-    rO = drive.ratio_Omega
-    out = rO * (1.0 - np.cos(s)) * np.sin(w) - np.sin(s) * np.cos(w)
-    return float(out) if out.ndim == 0 else out
+    """Slow/fast envelope T with (nu/2sigma) T = Im{c_a* c_b e^(-i tau)}.
+
+    Twice the imaginary part of the closed form taken at nu/sigma = 1,
+    so T stays defined when the coupling is switched off.
+    """
+    return 2.0 * _closed_form_at(tau, drive, 1.0, 3)
 
 
 def envelope_Tprime(tau, drive: DriveParameters):
     """Envelope T' = Re{c_a* c_b e^(-i tau)}."""
-    tau = np.asarray(tau, dtype=float)
-    s = reduce_angle(drive.sigma_t * tau)
-    w = reduce_angle(drive.omega_t * tau)
-    rO = drive.ratio_Omega
-    out = -0.5 * drive.ratio_nu * (
-        rO * (1.0 - np.cos(s)) * np.cos(w) + np.sin(s) * np.sin(w)
-    )
-    return float(out) if out.ndim == 0 else out
+    return _closed_form_at(tau, drive, drive.ratio_nu, 2)
 
 
 def reversal_window(drive: DriveParameters, threshold: float = 0.02):
@@ -363,12 +417,12 @@ def solve_coefficients_numeric(
     Parameters
     ----------
     tau_max : float
-        End of the integration span [0, tau_max]; must be >= 0.
+        End of the integration span [0, tau_max]; must be finite and >= 0.
     drive : DriveParameters
         Rates for the system.
     tol : float
-        Relative tolerance for the adaptive integrator; the absolute
-        tolerance is tol/100.
+        Relative tolerance for the adaptive integrator, in (0, 1); the
+        absolute tolerance is tol/100.
     stride : float, optional
         Sampling interval of the returned series; defaults to
         tau_max/1000.
@@ -380,8 +434,10 @@ def solve_coefficients_numeric(
     """
     from .stepping import integrate_array
 
-    if tau_max < 0.0:
-        raise ParameterError("tau_max must be non-negative, got %r" % (tau_max,))
+    if not (math.isfinite(tau_max) and tau_max >= 0.0):
+        raise ParameterError("tau_max must be non-negative and finite, got %r" % (tau_max,))
+    if not 0.0 < tol < 1.0:
+        raise ParameterError("tol must lie in (0, 1), got %r" % (tol,))
     if tau_max == 0.0:
         return [CoefficientState(c_a=1.0 + 0.0j, c_b=0.0 + 0.0j, tau=0.0)]
     if stride is None:
@@ -422,13 +478,48 @@ def solve_coefficients_numeric(
 # ---------------------------------------------------------------------------
 
 
+def _pair_terms(c_a: complex, c_b: complex):
+    """(|c_a|^2, |c_b|^2, Re m, Im m) with m = c_a* c_b."""
+    m = c_a.conjugate() * c_b
+    return (
+        c_a.real * c_a.real + c_a.imag * c_a.imag,
+        c_b.real * c_b.real + c_b.imag * c_b.imag,
+        m.real,
+        m.imag,
+    )
+
+
+def _rotated(xp):
+    """(ca2, cb2, mr, mi, tau) -> (ca2, cb2, tp, im) for m = c_a* c_b.
+
+    tp + i im = m e^(-i tau) = (mr + i mi) e^(-i tau).  xp, the sines and
+    cosines and the reduction are as in _closed_form_terms, with the
+    reduced phase tau as the one angle.
+    """
+    arrays = xp is np
+    rint = np.rint if arrays else round
+
+    def rotated(ca2, cb2, mr, mi, tau):
+        w = tau - TWO_PI * rint(tau / TWO_PI)
+        if arrays:
+            sw, cw = _sincos(w)
+        else:
+            sw, cw = math.sin(w), math.cos(w)
+        # c_a* c_b e^(-i tau) = (mr + i mi)(cw - i sw)
+        return ca2, cb2, mr * cw + mi * sw, mi * cw - mr * sw
+
+    return rotated
+
+
 class AnalyticSource:
     """Closed-form driven amplitudes; the default source.
 
-    kind = "analytic"; driven (the semiclassical field is on).
+    Driven: the semiclassical field is on.  cross_terms(xp) gives
+    tau -> (ca2, cb2, tp, im), the amplitude terms of the guidance law:
+    ca2 = |c_a|^2, cb2 = |c_b|^2 and tp + i im = c_a* c_b e^(-i tau).
+    xp is math for Python floats or numpy for arrays.
     """
 
-    kind = "analytic"
     is_driven = True
 
     def __init__(self, drive: DriveParameters):
@@ -445,15 +536,19 @@ class AnalyticSource:
         """|c_b|^2 at one time or an array of times."""
         return transition_probability(tau, self.drive)
 
+    def cross_terms(self, xp):
+        return _closed_form_terms(xp, self.drive, self.drive.ratio_nu)
+
 
 class FrozenSource:
     """Constant amplitude pair; models an undriven superposition.
 
-    The pair must be normalized: |c1|^2 + |c2|^2 = 1 within 1e-12.
-    kind = "frozen"; not driven (no field term in the local energy).
+    The pair must be normalized: |c1|^2 + |c2|^2 = 1 within 1e-12.  Not
+    driven (no field term in the local energy).  cross_terms(xp) gives
+    the terms AnalyticSource's does, from the fixed pair turned by the
+    fast phase.
     """
 
-    kind = "frozen"
     is_driven = False
     drive = None
 
@@ -461,7 +556,7 @@ class FrozenSource:
         c1 = complex(c1)
         c2 = complex(c2)
         norm = abs(c1) ** 2 + abs(c2) ** 2
-        if abs(norm - 1.0) > 1e-12:
+        if not abs(norm - 1.0) <= 1e-12:
             raise ParameterError(
                 "frozen amplitudes must satisfy |c1|^2 + |c2|^2 = 1; got %r"
                 % (norm,)
@@ -476,8 +571,10 @@ class FrozenSource:
     def eval(self, tau: float) -> CoefficientState:
         return CoefficientState(c_a=self.c1, c_b=self.c2, tau=float(tau))
 
-    def cb_sq(self, tau: float) -> float:
-        return self.c2.real**2 + self.c2.imag**2
+    def cross_terms(self, xp):
+        rotated = _rotated(xp)
+        terms = _pair_terms(self.c1, self.c2)
+        return lambda tau: rotated(*terms, tau)
 
 
 class NumericSource:
@@ -485,10 +582,12 @@ class NumericSource:
 
     Exists so trajectories can be driven by the independently
     integrated amplitudes instead of the closed form; the two agree to
-    the solver tolerance.  kind = "numeric-ode"; driven.
+    the solver tolerance.  Driven.  cross_terms(xp) gives the terms
+    AnalyticSource's does, from eval one time at a time; through numpy
+    it maps that over an array of times, so batch propagation refuses
+    this source.
     """
 
-    kind = "numeric-ode"
     is_driven = True
 
     def __init__(
@@ -498,8 +597,8 @@ class NumericSource:
         tol: float = 1e-10,
         stride: Optional[float] = None,
     ):
-        if tau_max <= 0.0:
-            raise ParameterError("tau_max must be positive, got %r" % (tau_max,))
+        if not (math.isfinite(tau_max) and tau_max > 0.0):
+            raise ParameterError("tau_max must be positive and finite, got %r" % (tau_max,))
         self.drive = drive
         self.tau_max = float(tau_max)
         if stride is None:
@@ -517,7 +616,7 @@ class NumericSource:
         return "numeric-ode"
 
     def eval(self, tau: float) -> CoefficientState:
-        if tau < 0.0 or tau > self.tau_max * (1.0 + 1e-12):
+        if not 0.0 <= tau <= self.tau_max * (1.0 + 1e-12):
             raise ParameterError(
                 "tau=%r outside the solved span [0, %r]" % (tau, self.tau_max)
             )
@@ -542,6 +641,13 @@ class NumericSource:
             c_a=complex(y[0], y[1]), c_b=complex(y[2], y[3]), tau=float(tau)
         )
 
-    def cb_sq(self, tau: float) -> float:
-        state = self.eval(tau)
-        return state.cb_sq
+    def cross_terms(self, xp):
+        rotated = _rotated(math)
+
+        def cross(tau):
+            state = self.eval(tau)
+            return rotated(*_pair_terms(state.c_a, state.c_b), tau)
+
+        if xp is np:
+            return lambda tau: np.array([cross(t) for t in tau.tolist()]).T
+        return cross

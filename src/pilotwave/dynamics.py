@@ -27,17 +27,16 @@ make_batch_rhs (trajectory ensembles) and pauli_current all divide its
 output instead of repeating it.  make_row_rhs runs make_batch_rhs's
 numpy code on one row's floats, bit for bit, for the ensemble's last
 few rows.  The amplitude terms |c_a|^2, |c_b|^2 and c_a* c_b e^(-i tau)
-that the rhs builders feed it come from one builder, _cross_terms, on
-floats or arrays: in closed form for the analytic driven state, from
-the fixed pair of a frozen superposition, and through source.eval for
-any other source, which only the scalar rhs accepts.
+that the rhs builders feed it come from the coefficient source's own
+cross_terms(xp), on floats (xp = math) or arrays (xp = numpy); see
+drive.
 
-Sines and cosines: the numpy path takes each angle's pair (theta, the
-Rabi half angle, the reduced fast phase) from one tangent of its half
-angle, _sincos, because this numpy's np.sin and np.cos are scalar libm
-loops while np.tan is SIMD.  The float path, which the scalar engine
-runs, keeps math.sin and math.cos: they are cheaper on one float than
-any Python-level helper, and its numbers stay exactly as they were.
+Sines and cosines: the numpy path takes theta's pair from one tangent
+of its half angle, drive._sincos, as the sources' numpy terms do,
+because this numpy's np.sin and np.cos are scalar libm loops while
+np.tan is SIMD.  The float path, which the scalar engine runs, keeps
+math.sin and math.cos: they are cheaper on one float than any
+Python-level helper, and its numbers stay exactly as they were.
 
 Two eigenstate limits anchor everything: a pure 1s state gives
 dphi/dtau = 8/(3 xi) and a pure 2p0 state gives 4/(3 xi), with
@@ -59,15 +58,16 @@ from typing import Callable
 
 import numpy as np
 
-from .constants import TWO_PI, VELOCITY_SCALE
+from .constants import VELOCITY_SCALE
 from .drive import (
+    AnalyticSource,
     CoefficientState,
     DriveParameters,
+    _sincos,
     coefficients,
     envelope_T,
     envelope_Tprime,
     reduce_angle,
-    transition_probability_scalar,
 )
 from .errors import (
     AxisProximityError,
@@ -228,107 +228,6 @@ def eigenstate_angular_velocity(state: str, xi) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _sincos(x):
-    """(sin x, cos x) from one tangent, through numpy.
-
-    With t = tan(x/2) and e = 2/(1 + t^2), sin x = t e and cos x = e - 1.
-    This numpy runs float64 np.tan as a SIMD loop, at a quarter or less
-    of the cost of its scalar-libm np.sin or np.cos per element.  sin
-    stays within a few ulp relative, and both stay within a few ulp of 1
-    absolute; cos near its zeros is accurate in that absolute sense
-    only, as is any cos of a rounded angle.  NaN and +-inf give NaN, as
-    np.sin does.  A Python float (the row rhs) gives numpy scalars,
-    rounded as the same value in an array would be.
-    """
-    t = np.tan(0.5 * x)
-    e = 2.0 / (1.0 + t * t)
-    return t * e, e - 1.0
-
-
-def _cross_terms(source, xp, rint):
-    """tau -> (ca2, cb2, tp, im) for a coefficient source.
-
-    ca2 = |c_a|^2, cb2 = |c_b|^2 and tp + i im = c_a* c_b e^(-i tau).
-    xp and rint are math and round for Python floats, or numpy and
-    np.rint for arrays (np.rint rounds as np.round does at zero decimals
-    but skips its Python-level wrapper); both round halves to even, so
-    angles reduce alike.  Floats take each angle's sine and cosine from
-    math.sin and math.cos, which on one float cost less than any helper
-    call would; arrays take them from one _sincos call.  The analytic
-    driven state has a closed form with two angles, the Rabi half angle
-    and the reduced fast phase; a frozen pair is fixed, and any other
-    source gives its amplitudes through source.eval(tau), one time at a
-    time; both rotate by the reduced phase alone.
-    """
-    arrays = xp is np
-    kind = getattr(source, "kind", None)
-    if kind == "analytic":
-        drive = source.drive
-        rn, rO = drive.ratio_nu, drive.ratio_Omega
-        st_rate, wt = drive.sigma_t, drive.omega_t
-
-        def cross(tau):
-            half = 0.5 * st_rate * tau
-            w = wt * tau
-            w = w - TWO_PI * rint(w / TWO_PI)
-            if arrays:
-                sh, ch = _sincos(half)
-                sw, cw = _sincos(w)
-            else:
-                sh, ch = math.sin(half), math.cos(half)
-                sw, cw = math.sin(w), math.cos(w)
-            q = rn * sh
-            cb2 = q * q
-            tp = -q * (rO * sh * cw + ch * sw)
-            im = q * (rO * sh * sw - ch * cw)
-            return 1.0 - cb2, cb2, tp, im
-
-        return cross
-
-    def pair(ca, cb):
-        m = ca.conjugate() * cb
-        return (
-            ca.real * ca.real + ca.imag * ca.imag,
-            cb.real * cb.real + cb.imag * cb.imag,
-            m.real,
-            m.imag,
-        )
-
-    def rotated(ca2, cb2, mr, mi, tau):
-        w = tau - TWO_PI * rint(tau / TWO_PI)
-        if arrays:
-            sw, cw = _sincos(w)
-        else:
-            sw, cw = math.sin(w), math.cos(w)
-        # c_a* c_b e^(-i tau) = (mr + i mi)(cw - i sw)
-        return ca2, cb2, mr * cw + mi * sw, mi * cw - mr * sw
-
-    if kind == "frozen":
-        frozen = pair(source.c1, source.c2)
-        return lambda tau: rotated(*frozen, tau)
-
-    def cross(tau):
-        state = source.eval(tau)
-        return rotated(*pair(state.c_a, state.c_b), tau)
-
-    return cross
-
-
-def _array_cross(source):
-    """_cross_terms through numpy, for the closed-form sources only.
-
-    Raises ParameterError for any other source: its amplitudes come one
-    time at a time, so they cannot feed a batch.
-    """
-    kind = getattr(source, "kind", None)
-    if kind not in ("analytic", "frozen"):
-        raise ParameterError(
-            "batch propagation supports analytic and frozen sources, got %r"
-            % (kind,)
-        )
-    return _cross_terms(source, np, np.rint)
-
-
 def make_scalar_rhs(
     source,
     *,
@@ -336,11 +235,11 @@ def make_scalar_rhs(
 ) -> Callable[[float, float, float], tuple[float, float, float, float]]:
     """Build f(tau, xi, theta) -> (dxi, dtheta, dphi, rho) in plain floats.
 
-    source is a coefficient source (see engine module).  Raises
+    source is a coefficient source (see drive).  Raises
     AxisProximityError from inside the closure when sin(theta) drops
     below the axis guard, so the integrator can abort cleanly.
     """
-    cross = _cross_terms(source, math, round)
+    cross = source.cross_terms(math)
     sz = spin.s_z
     last = [math.nan, None]  # the last tau and its cross terms
 
@@ -414,7 +313,7 @@ def make_batch_rhs(source, *, spin: SpinVector = SPIN_UP):
     job (the batch integrator drops trajectories near the axis), so no
     guard fires here.
     """
-    cross = _array_cross(source)
+    cross = source.cross_terms(np)
     sz = spin.s_z
     # A copy of the last tau and its cross terms.  NaN equals nothing,
     # so the first call always fills it, whatever its length.
@@ -439,7 +338,7 @@ def make_row_rhs(source, *, spin: SpinVector = SPIN_UP):
     faster on.  The math module would not do: math.exp and np.exp round
     differently for a few percent of arguments.
     """
-    cross = _array_cross(source)
+    cross = source.cross_terms(np)
     sz = spin.s_z
     last = [math.nan, None]  # the last tau and its cross terms
 
@@ -508,8 +407,7 @@ def continuity_defect(
     u1, u2, _, _ = _parts(point.xi, point.theta)
     st = drive.sigma_t * tau
     slow_im = -0.5 * drive.ratio_nu * math.sin(st)
-    cb2 = transition_probability_scalar(tau, drive)
-    ca2 = 1.0 - cb2
+    ca2, cb2, _, _ = AnalyticSource(drive).cross_terms(math)(tau)
     w = reduce_angle(drive.omega_t * tau)
     return drive.nu_t * (
         slow_im * (u1 * u1 - u2 * u2) + u1 * u2 * (cb2 - ca2) * math.sin(w)

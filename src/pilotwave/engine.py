@@ -8,7 +8,8 @@ the step that passes it, so the step sequence does not depend on the
 stride.  After the loop it derives the full sample rows: the analytic
 velocity and density from one rhs call per sample, and the local
 energy, upper-level population and invariant-surface residual in array
-passes.  phi accumulates without wrapping.
+passes over the source's amplitude terms.  phi accumulates without
+wrapping.
 
 Runs are deterministic: the same inputs produce bitwise-identical
 sample arrays and manifests (timestamps excluded), which the test suite
@@ -30,8 +31,6 @@ from .dynamics import (
     AXIS_GUARD_INITIAL,
     SPIN_UP,
     SpinVector,
-    _array_cross,
-    _cross_terms,
     make_scalar_rhs,
     surface_constant,
     surface_residual,
@@ -264,8 +263,10 @@ def _record(samples, state):
 def _sample_columns(rhs, source, config, invariant, tau, samples) -> dict:
     """Every TrajectoryResult column from the sampled states, in array passes.
 
-    The rates come from one rhs call per sample; the local energy,
-    population and surface residual from array kernels over all of them.
+    The rates come from one rhs call per sample.  The amplitude terms
+    come from one source.cross_terms(np) call over all sample times; the
+    population column is their |c_b|^2, and they feed the local-energy
+    kernel.  The surface residual is one more array pass.
     """
     xs, ths, phs = samples
     rates = np.empty((len(tau), 4))
@@ -278,7 +279,7 @@ def _sample_columns(rhs, source, config, invariant, tau, samples) -> dict:
             raise
     xi = np.array(xs)
     theta = np.array(ths)
-    ca2, cb2, tp, cb_sq = _amplitude_terms(source, tau)
+    ca2, cb2, tp, _ = source.cross_terms(np)(tau)
     energy, clipped = observables.local_energy_array(
         xi,
         theta,
@@ -298,30 +299,12 @@ def _sample_columns(rhs, source, config, invariant, tau, samples) -> dict:
         "dtheta": rates[:, 1],
         "dphi": rates[:, 2],
         "energy_eV": energy,
-        "cb_sq": cb_sq,
+        # A frozen pair gives one cb2 for every sample.
+        "cb_sq": np.zeros(len(tau)) + cb2,
         "surface_residual": surface_residual(xi, theta, invariant),
         "rho": rates[:, 3],
         "clipped": clipped,
     }
-
-
-def _amplitude_terms(source, tau):
-    """(ca2, cb2, tp, cb_sq) arrays at the sample times.
-
-    ca2 = |c_a|^2, cb2 = |c_b|^2 and tp = Re{c_a* c_b e^(-i tau)} are
-    the cross terms of the guidance law and feed the local energy.  The
-    closed-form sources give them through numpy, and cb_sq through
-    source.cb_sq; any other source goes one sample at a time, as its
-    scalar rhs does, and reports cb2 as cb_sq.
-    """
-    try:
-        cross = _array_cross(source)
-    except ParameterError:
-        cross = _cross_terms(source, math, round)
-        ca2, cb2, tp, _ = np.array([cross(t) for t in tau.tolist()]).T
-        return ca2, cb2, tp, cb2
-    ca2, cb2, tp, _ = cross(tau)
-    return ca2, cb2, tp, np.zeros(len(tau)) + source.cb_sq(tau)
 
 
 def _drive_dict(drive: Optional[DriveParameters]) -> Optional[dict]:

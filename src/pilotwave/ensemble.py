@@ -41,12 +41,7 @@ from typing import Optional
 import numpy as np
 
 from .constants import CODATA
-from .drive import (
-    AnalyticSource,
-    CoefficientState,
-    DriveParameters,
-    reduce_angle,
-)
+from .drive import AnalyticSource, CoefficientState, DriveParameters, NumericSource
 from .dynamics import AXIS_GUARD, SPIN_UP, SpinVector, make_batch_rhs, make_row_rhs
 from .engine import IntegratorConfig
 from .errors import ParameterError
@@ -519,7 +514,8 @@ def evolve_targets(
 
     points is a list of SpatialPoint or a (xi, theta, phi) array
     triple.  drive selects the analytic driven amplitudes; pass
-    source=FrozenSource(...) (and drive=None) for undriven states.
+    source=FrozenSource(...) (and drive=None) for undriven states.  A
+    NumericSource is refused with ParameterError, whatever the targets.
     The seed is recorded in the summaries for bookkeeping only;
     sampling happens in sample_initial/sample_arrays.
 
@@ -533,6 +529,12 @@ def evolve_targets(
         if drive is None:
             raise ParameterError("need either drive or source")
         source = AnalyticSource(drive)
+    if isinstance(source, NumericSource):
+        # Its amplitudes come one time at a time, too slow for a batch.
+        raise ParameterError(
+            "batch propagation supports analytic and frozen sources, got %r"
+            % (source.label,)
+        )
 
     if isinstance(points, (list, tuple)) and points and isinstance(points[0], SpatialPoint):
         xi = np.array([p.xi for p in points])
@@ -627,22 +629,19 @@ def _summarize(tau_target, state, source, config, baseline, seed, bins) -> Ensem
     """Compare one propagated state with the density at tau_target."""
     xf, tf, pf, ok, axis_out, under_out = state
     count = len(xf)
-    coeffs = source.eval(tau_target)
-    expected, exp_over = reference_masses(tau_target, coeffs, bins=bins)
+    expected, exp_over = reference_masses(tau_target, source.eval(tau_target), bins=bins)
     observed, obs_over = histogram_masses(xf[ok], tf[ok], bins=bins)
 
     # Mean local energy over the surviving, unclipped trajectories.
     include_drive = source.drive if source.is_driven else None
-    ca, cb = coeffs.c_a, coeffs.c_b
-    w = reduce_angle(tau_target)
-    m = ca.conjugate() * cb * complex(math.cos(w), -math.sin(w))
+    ca2, cb2, tp, _ = source.cross_terms(math)(tau_target)
     energies, clipped = local_energy_array(
         xf[ok],
         tf[ok],
         tau_target,
-        abs(ca) ** 2,
-        abs(cb) ** 2,
-        m.real,
+        ca2,
+        cb2,
+        tp,
         include_drive,
         rho_floor=config.rho_floor,
     )
@@ -657,7 +656,7 @@ def _summarize(tau_target, state, source, config, baseline, seed, bins) -> Ensem
     if include_drive is not None:
         exp_e = float(expected_energy(tau_target, include_drive))
     else:
-        exp_e = (1.0 - coeffs.cb_sq) * CODATA.E1_eV + coeffs.cb_sq * CODATA.E2_eV
+        exp_e = ca2 * CODATA.E1_eV + cb2 * CODATA.E2_eV
 
     return EnsembleSummary(
         count=count,

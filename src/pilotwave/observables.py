@@ -36,12 +36,11 @@ import numpy as np
 
 from .constants import CODATA, PhysicalConstants
 from .drive import (
+    AnalyticSource,
     CoefficientState,
     DIPOLE_MATRIX_ELEMENT,
     DriveParameters,
-    envelope_Tprime,
     reduce_angle,
-    transition_probability,
 )
 from .wavefield import N1, N2, RHO_FLOOR, SpatialPoint
 
@@ -168,17 +167,11 @@ def expected_energy(
     """Closed-form <E>(tau) over the driven density; scalar or array."""
     E1 = constants.E1_eV
     E2 = constants.E2_eV
-    cb2 = transition_probability(tau, drive)
-    tp = envelope_Tprime(tau, drive)
-    tau_arr = np.asarray(tau, dtype=float)
-    w = reduce_angle(drive.omega_t * tau_arr)
-    out = (
-        (1.0 - cb2) * E1
-        + cb2 * E2
-        - drive.field_energy_eV * DIPOLE_MATRIX_ELEMENT * np.cos(w) * tp
-    )
-    out = np.asarray(out)
-    return float(out) if out.ndim == 0 else out
+    tau = np.asarray(tau, dtype=float)
+    ca2, cb2, tp, _ = AnalyticSource(drive).cross_terms(np)(tau)
+    w = reduce_angle(drive.omega_t * tau)
+    out = ca2 * E1 + cb2 * E2 - drive.field_energy_eV * DIPOLE_MATRIX_ELEMENT * np.cos(w) * tp
+    return float(out) if np.ndim(out) == 0 else out
 
 
 def reference_energy(

@@ -288,7 +288,8 @@ def integrate_array(
         hits_target = h_try >= target - t
         if hits_target:
             h_try = target - t
-        if h_try < min_step:
+        # Written so that a NaN step (a zero error scale) raises too.
+        if not h_try >= min_step:
             raise IntegrationError(
                 "step size underflow at t=%r" % (t,), tau=t, state=tuple(y)
             )

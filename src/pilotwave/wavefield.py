@@ -61,15 +61,6 @@ class SpatialPoint:
                 "theta must lie strictly inside (0, pi), got %r" % (self.theta,)
             )
 
-    def cartesian(self) -> tuple[float, float, float]:
-        """Scaled Cartesian coordinates (x, y, z)."""
-        st = math.sin(self.theta)
-        return (
-            self.xi * st * math.cos(self.phi),
-            self.xi * st * math.sin(self.phi),
-            self.xi * math.cos(self.theta),
-        )
-
 
 @dataclass(frozen=True)
 class WaveAmplitude:

@@ -24,6 +24,7 @@ from pilotwave.cli import (
     SCHEMA_VERSION,
     main,
 )
+from pilotwave.drive import reduce_angle
 from pilotwave.engine import VERSION_TAG
 
 R_HALF = math.sqrt(0.5)
@@ -164,6 +165,15 @@ def test_coefficients_zero_rabi_stays_dark(tmp_path):
     assert main(["coefficients", "--config", cfg_path, "--out", str(out)]) == 0
     _, cols = read_csv_columns(out / "coefficients.csv")
     assert np.all(cols["cb_sq"] == 0.0)
+    # T keeps its closed form, which does not vanish with the coupling;
+    # T' carries a factor nu/sigma and does.
+    drive = replace(RunConfig(), nu_override_per_second=0.0).drive()
+    s = drive.sigma_t * cols["tau"]
+    w = reduce_angle(drive.omega_t * cols["tau"])
+    closed = drive.ratio_Omega * (1.0 - np.cos(s)) * np.sin(w) - np.sin(s) * np.cos(w)
+    assert np.max(np.abs(closed)) > 0.01
+    assert np.max(np.abs(cols["T"] - closed)) <= 1e-15
+    assert np.all(cols["Tprime"] == 0.0)
 
 
 # ---------------------------------------------------------------------------

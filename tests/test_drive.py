@@ -9,6 +9,7 @@ frame bookkeeping show up as hard failures.
 
 from __future__ import annotations
 
+import faulthandler
 import math
 
 import numpy as np
@@ -19,6 +20,7 @@ from hypothesis import strategies as st
 from pilotwave import (
     AnalyticSource,
     FrozenSource,
+    IntegrationError,
     NumericSource,
     ParameterError,
     coefficients,
@@ -33,6 +35,7 @@ from pilotwave.drive import (
     reduce_angle,
     solve_coefficients_numeric,
 )
+from pilotwave.stepping import integrate_array
 
 # ---------------------------------------------------------------------------
 # Frozen oracle values (mpmath, mp.dps = 40), reference_drive configuration
@@ -149,6 +152,14 @@ def test_zero_coupling_override_keeps_ground_state():
     assert np.max(transition_probability(taus, drive)) == 0.0
     state = coefficients(777.0, drive)
     assert abs(abs(state.c_a) - 1.0) < 1e-14
+    # T keeps its closed form, which does not vanish with the coupling;
+    # T' carries a factor nu/sigma and does.
+    s = drive.sigma_t * taus
+    w = reduce_angle(drive.omega_t * taus)
+    closed = drive.ratio_Omega * (1.0 - np.cos(s)) * np.sin(w) - np.sin(s) * np.cos(w)
+    assert np.max(np.abs(closed)) > 0.1
+    assert np.max(np.abs(envelope_T(taus, drive) - closed)) <= 1e-15
+    assert np.all(envelope_Tprime(taus, drive) == 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -178,6 +189,9 @@ def test_derive_rejects_bad_amplitude_and_detuning():
         derive_drive(8.8e7, -1.0e12)
     with pytest.raises(ParameterError):
         derive_drive(8.8e7, 2.0e14)  # beyond the two-level regime
+    for E0, Omega in ((math.inf, 1.55e12), (math.nan, 1.55e12), (8.8e7, math.nan)):
+        with pytest.raises(ParameterError):
+            derive_drive(E0, Omega)
 
 
 def test_derive_warns_on_strained_detuning():
@@ -224,6 +238,37 @@ def test_numeric_solver_matches_closed_form(reference_drive):
         ref = coefficients(st_.tau, reference_drive)
         worst = max(worst, abs(st_.c_a - ref.c_a), abs(st_.c_b - ref.c_b))
     assert worst < 1e-9
+
+
+def test_numeric_solver_rejects_bad_inputs(reference_drive):
+    # A zero error scale makes the first step NaN, which the underflow
+    # guard must stop, or the solve retries it forever.  A hang ends the
+    # test run with exit code 1 instead of stalling it.
+    faulthandler.dump_traceback_later(60.0, exit=True)
+    try:
+        for tol in (0.0, math.nan, math.inf, -1.0, 1.0):
+            with pytest.raises(ParameterError):
+                solve_coefficients_numeric(10.0, reference_drive, tol=tol)
+            with pytest.raises(ParameterError):
+                NumericSource(reference_drive, 10.0, tol=tol)
+        with pytest.raises(IntegrationError), np.errstate(all="ignore"):
+            integrate_array(
+                lambda t, y: np.array([y[1], -y[0]]),
+                0.0,
+                np.array([1.0, 0.0]),
+                1.0,
+                rtol=0.0,
+                atol=0.0,
+            )
+    finally:
+        faulthandler.cancel_dump_traceback_later()
+    for tau_max in (math.inf, math.nan):
+        with pytest.raises(ParameterError):
+            NumericSource(reference_drive, tau_max)
+    source = NumericSource(reference_drive, 10.0)
+    for tau in (math.nan, -1.0, 11.0):
+        with pytest.raises(ParameterError):
+            source.eval(tau)
 
 
 def test_numeric_solver_zero_span(reference_drive):
@@ -275,6 +320,8 @@ def test_frozen_source_constant():
 def test_frozen_source_requires_normalization():
     with pytest.raises(ParameterError):
         FrozenSource(1.0, 1.0)
+    with pytest.raises(ParameterError):
+        FrozenSource(complex(math.nan, 0.0), 0.0)
 
 
 def test_numeric_source_tracks_closed_form(reference_drive):

@@ -312,8 +312,9 @@ def test_rejects_sources_without_closed_form(reference_drive):
     # numeric source gives them one time at a time.
     points = sample_arrays(10, seed=1)
     source = NumericSource(reference_drive, 20.0)
-    with pytest.raises(ParameterError, match="'numeric-ode'"):
-        evolve_targets(points, (5.0,), None, QUICK, source=source)
+    for targets in ((5.0,), (0.0,)):
+        with pytest.raises(ParameterError, match="'numeric-ode'"):
+            evolve_targets(points, targets, None, QUICK, source=source)
 
 
 def test_rejects_empty_and_ragged_clouds():

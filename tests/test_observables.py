@@ -23,7 +23,7 @@ from pilotwave import (
     expected_energy,
 )
 from pilotwave.constants import CODATA
-from pilotwave.drive import envelope_Tprime, transition_probability_scalar
+from pilotwave.drive import envelope_Tprime, transition_probability
 from pilotwave.observables import (
     ENERGY_CLIP_EV,
     local_energy_array,
@@ -88,7 +88,7 @@ def test_two_energy_routes_agree(reference_drive):
         if e.clipped:
             continue
         checked += 1
-        cb2 = transition_probability_scalar(tau, reference_drive)
+        cb2 = transition_probability(tau, reference_drive)
         tp = envelope_Tprime(tau, reference_drive)
         env, clipped = local_energy_array(
             xi, th, tau, 1.0 - cb2, cb2, tp, reference_drive
