@@ -386,21 +386,34 @@ def reversal_window(drive: DriveParameters, threshold: float = 0.02):
     return period - half_width, period + half_width
 
 
-def _amplitude_rhs(drive: DriveParameters):
-    """y' = f(tau, y) of the amplitude system, y = (Re c_a, Im c_a, Re c_b, Im c_b)."""
+def _complex_array(re, im):
+    """complex(re, im) elementwise; re + 1j * im would turn -0.0 into 0.0."""
+    out = np.empty(np.shape(re), dtype=complex)
+    out.real = re
+    out.imag = im
+    return out
+
+
+def _amplitude_rhs(drive: DriveParameters, xp=math):
+    """(tau, c_a, c_b) -> (dc_a/dtau, dc_b/dtau) of the amplitude system.
+
+    xp is math for Python complex numbers (the solve) or numpy for
+    complex arrays (NumericSource's slopes).  Each real and imaginary
+    part of a rate is one real expression in the parts of c_a and c_b,
+    so the two forms round alike.
+    """
     half_nu = 0.5 * drive.nu_t
     omt = drive.Omega_t
+    cos, sin = xp.cos, xp.sin
+    pack = complex if xp is math else _complex_array
 
-    def rhs(tau, y):
-        c = math.cos(omt * tau)
-        s = math.sin(omt * tau)
-        return np.array(
-            [
-                half_nu * (c * y[3] - s * y[2]),
-                -half_nu * (c * y[2] + s * y[3]),
-                half_nu * (c * y[1] + s * y[0]),
-                -half_nu * (c * y[0] - s * y[1]),
-            ]
+    def rhs(tau, ca, cb):
+        c = cos(omt * tau)
+        s = sin(omt * tau)
+        ar, ai, br, bi = ca.real, ca.imag, cb.real, cb.imag
+        return (
+            pack(half_nu * (c * bi - s * br), -half_nu * (c * br + s * bi)),
+            pack(half_nu * (c * ai + s * ar), -half_nu * (c * ar - s * ai)),
         )
 
     return rhs
@@ -413,6 +426,10 @@ def solve_coefficients_numeric(
     stride: Optional[float] = None,
 ) -> list[CoefficientState]:
     """Integrate the amplitude system numerically; cross-check for the closed form.
+
+    stepping.integrate_array advances (c_a, c_b) as two Python complex
+    numbers through _amplitude_rhs, whose real and imaginary parts are
+    the real form of the system written out part by part.
 
     Parameters
     ----------
@@ -452,18 +469,13 @@ def solve_coefficients_numeric(
 
     series: list[CoefficientState] = []
 
-    def observer(tau, y):
-        series.append(
-            CoefficientState(
-                c_a=complex(y[0], y[1]), c_b=complex(y[2], y[3]), tau=float(tau)
-            )
-        )
+    def observer(tau, c_a, c_b):
+        series.append(CoefficientState(c_a=c_a, c_b=c_b, tau=float(tau)))
 
-    y0 = np.array([1.0, 0.0, 0.0, 0.0])
     integrate_array(
         _amplitude_rhs(drive),
         0.0,
-        y0,
+        (1.0 + 0.0j, 0.0j),
         tau_max,
         rtol=tol,
         atol=tol / 100.0,
@@ -582,7 +594,9 @@ class NumericSource:
 
     Exists so trajectories can be driven by the independently
     integrated amplitudes instead of the closed form; the two agree to
-    the solver tolerance.  Driven.  cross_terms(xp) gives the terms
+    the solver tolerance.  The Hermite slopes at the solved points come
+    from the solve's own rhs, _amplitude_rhs, run once on complex arrays
+    of the whole series.  Driven.  cross_terms(xp) gives the terms
     AnalyticSource's does, from eval one time at a time; through numpy
     it maps that over an array of times, so batch propagation refuses
     this source.
@@ -605,11 +619,12 @@ class NumericSource:
             stride = tau_max / 2000.0
         series = solve_coefficients_numeric(tau_max, drive, tol=tol, stride=stride)
         self._tau = np.array([s.tau for s in series])
-        self._y = np.array(
-            [[s.c_a.real, s.c_a.imag, s.c_b.real, s.c_b.imag] for s in series]
-        )
-        rhs = _amplitude_rhs(drive)
-        self._f = np.array([rhs(t, y) for t, y in zip(self._tau.tolist(), self._y)])
+        c_a = np.array([s.c_a for s in series])
+        c_b = np.array([s.c_b for s in series])
+        f_a, f_b = _amplitude_rhs(drive, np)(self._tau, c_a, c_b)
+        # Rows of (Re c_a, Im c_a, Re c_b, Im c_b) and of their rates.
+        self._y = np.stack([c_a.real, c_a.imag, c_b.real, c_b.imag], axis=1)
+        self._f = np.stack([f_a.real, f_a.imag, f_b.real, f_b.imag], axis=1)
 
     @property
     def label(self) -> str:

@@ -47,7 +47,7 @@ from .engine import IntegratorConfig
 from .errors import ParameterError
 from .observables import expected_energy, local_energy_array
 from .stepping import MAX_FACTOR, MIN_FACTOR, PI_ALPHA, PI_BETA, SAFETY, dp5_trial
-from .wavefield import SpatialPoint, density
+from .wavefield import SpatialPoint, check_count, check_xi_max, density, gauss_legendre
 
 DEFAULT_SEED = 20260819
 XI_MAX_BIN = 12.0
@@ -179,7 +179,9 @@ def reference_masses(
     2 pi rho xi^2 over the cell xi in bin i, mu = cos(theta) in bin j,
     and overflow = 1 - sum(masses) is the mass beyond xi_max.
     """
-    nodes, weights = np.polynomial.legendre.leggauss(quad_points)
+    check_count("bins", bins)
+    check_xi_max(xi_max)
+    nodes, weights = gauss_legendre(quad_points)
     xi_edges = np.linspace(0.0, xi_max, bins + 1)
     mu_edges = np.linspace(-1.0, 1.0, bins + 1)
     dxi = xi_edges[1] - xi_edges[0]

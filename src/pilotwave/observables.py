@@ -42,7 +42,7 @@ from .drive import (
     DriveParameters,
     reduce_angle,
 )
-from .wavefield import N1, N2, RHO_FLOOR, SpatialPoint
+from .wavefield import N1, N2, RHO_FLOOR, SpatialPoint, sphere_rule
 
 # Clip value for the local energy near density nodes, in eV.
 ENERGY_CLIP_EV = 1000.0
@@ -190,17 +190,8 @@ def reference_energy(
     """
     from .drive import coefficients
 
+    xg, mg, wx, wm = sphere_rule(n_xi, n_mu, xi_max)
     coeffs = coefficients(tau, drive)
-    nodes_x, weights_x = np.polynomial.legendre.leggauss(n_xi)
-    nodes_m, weights_m = np.polynomial.legendre.leggauss(n_mu)
-    xi = 0.5 * xi_max * (nodes_x + 1.0)
-    wx = 0.5 * xi_max * weights_x
-    mu = nodes_m
-    wm = weights_m
-    xg = xi[:, None]
-    mg = mu[None, :]
-    theta = np.arccos(mg)
-
     E1 = constants.E1_eV
     E2 = constants.E2_eV
     u1 = N1 * np.exp(-xg)

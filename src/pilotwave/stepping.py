@@ -8,19 +8,21 @@ One tableau, one trial step and one float PI controller:
   whatever it is given, so the scalar loop in engine.py runs it on
   Python floats, the batched ensemble loop in ensemble.py on numpy
   arrays with per-trajectory clocks and step sizes, and integrate_array
-  below on one numpy state vector in the first slot with constant zeros
-  in the other two.  Every loop reuses an accepted step's last stage as
-  the next step's first (first-same-as-last).  The scalar loop samples
-  between its steps with dp5_dense, which builds the step's continuous
-  extension from the stages dp5_trial returns.
+  below on a pair of Python complex numbers in the two rate-feeding
+  slots with 0.0 in the carried one.  Every loop reuses an accepted
+  step's last stage as the next step's first (first-same-as-last).
+  The scalar loop samples between its steps with dp5_dense, which
+  builds the step's continuous extension from the stages dp5_trial
+  returns.
 * next_step below, the PI step controller on Python floats, shared by
   the scalar loop and integrate_array.  The ensemble's sweep and row
   loop keep their own copy on np.power, which rounds differently from
   **: those two must stay bitwise equal to each other.
-* integrate_array below, a generic driver for small numpy state vectors
-  (used for the amplitude ODE) that lands on given stop times.
+* integrate_array below, a driver for a pair of complex amplitudes
+  (the amplitude ODE) that lands on given stop times.
 
-All drivers use the same embedded pair, the same RMS error norm with
+All drivers use the same embedded pair, the same RMS error norm (over
+real parts; integrate_array takes the real and imaginary parts) with
 scale atol + rtol*max(|y|, |y_new|), and the same PI step control
 (growth factor safety * err^-0.14 * err_prev^0.08, clipped to
 [0.2, 5], capped at 1 right after a rejection).
@@ -30,8 +32,6 @@ from __future__ import annotations
 
 import math
 from typing import Callable, Optional, Sequence
-
-import numpy as np
 
 from .errors import IntegrationError, ParameterError
 
@@ -216,16 +216,40 @@ def dense_state(polys, x):
     return tuple(y + x * (p1 + x * (p2 + x * (p3 + x * p4))) for y, p1, p2, p3, p4 in polys)
 
 
+def _parts(a, b):
+    """The four real parts (Re a, Im a, Re b, Im b) of a complex pair."""
+    return a.real, a.imag, b.real, b.imag
+
+
+def _rms(num, den):
+    """Root mean square of num[i] / den[i] over four real parts.
+
+    The squares are summed left to right, as numpy's add.reduce sums
+    four elements.  A zero in den gives NaN, as numpy's 0/0 did; a NaN
+    error makes the step NaN or halves it until the underflow guard of
+    integrate_array raises.
+    """
+    try:
+        q0, q1, q2, q3 = [n / d for n, d in zip(num, den)]
+    except ZeroDivisionError:
+        return math.nan
+    return math.sqrt((((q0 * q0 + q1 * q1) + q2 * q2) + q3 * q3) / 4)
+
+
 def initial_step(f, t0, y0, k1, t_end, rtol, atol, max_step):
-    """Starting step size from the standard two-evaluation heuristic."""
-    scale = atol + rtol * np.abs(y0)
-    d0 = float(np.sqrt(np.mean((y0 / scale) ** 2)))
-    d1 = float(np.sqrt(np.mean((k1 / scale) ** 2)))
+    """Starting step size from the standard two-evaluation heuristic.
+
+    y0 and k1 are the complex pair and its rates, f as in integrate_array.
+    """
+    a, b = y0
+    ka, kb = k1
+    scale = [atol + rtol * abs(u) for u in _parts(a, b)]
+    d0 = _rms(_parts(a, b), scale)
+    d1 = _rms(_parts(ka, kb), scale)
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
     h0 = min(h0, abs(t_end - t0), max_step)
-    y1 = y0 + h0 * k1
-    k2 = np.asarray(f(t0 + h0, y1))
-    d2 = float(np.sqrt(np.mean(((k2 - k1) / scale) ** 2))) / h0
+    ka2, kb2 = f(t0 + h0, a + h0 * ka, b + h0 * kb)
+    d2 = _rms(_parts(ka2 - ka, kb2 - kb), scale) / h0
     if max(d1, d2) <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
@@ -236,44 +260,56 @@ def initial_step(f, t0, y0, k1, t_end, rtol, atol, max_step):
 def integrate_array(
     f: Callable,
     t0: float,
-    y0: np.ndarray,
+    y0: tuple[complex, complex],
     t_end: float,
     *,
     rtol: float = 1e-8,
     atol: float = 1e-10,
-    max_step: float = np.inf,
+    max_step: float = math.inf,
     min_step: float = 1e-12,
     stops: Optional[Sequence[float]] = None,
     observer: Optional[Callable] = None,
-) -> tuple[float, np.ndarray, int, int]:
-    """Advance y' = f(t, y) from t0 to t_end for a numpy state vector.
+) -> tuple[float, tuple[complex, complex], int, int]:
+    """Advance a complex pair (a, b) with (a', b') = f(t, a, b) from t0 to t_end.
 
-    The integrator lands exactly on every value in stops (which must be
-    sorted, within [t0, t_end]) and calls observer(t, y) there, as well
-    as at t0 if stops starts there.  Returns (t, y, accepted, rejected).
-    Each trial is dp5_trial with y in its first slot.
+    Each trial is dp5_trial on Python complex numbers, with a and b in
+    the two slots that feed the rates and 0.0 in the carried one.  The
+    error norm is the RMS over the four real parts.  The integrator
+    lands exactly on every value in stops (strictly increasing, within
+    [t0, t_end]) and calls observer(t, a, b) there, as well as at t0 if
+    stops starts there.  t0 and t_end must be finite and max_step
+    positive (inf, the default, sets no cap).  Returns
+    (t, (a, b), accepted, rejected).
     """
+    if not (math.isfinite(t0) and math.isfinite(t_end)):
+        raise ParameterError("integrate_array requires finite t0 and t_end")
     if t_end < t0:
         raise ParameterError("integrate_array requires t_end >= t0")
+    if not max_step > 0.0:
+        raise ParameterError("max_step must be positive, got %r" % (max_step,))
     t = float(t0)
-    y = np.array(y0, dtype=float)
+    a, b = y0
 
     stop_list = [] if stops is None else [float(s) for s in stops]
     for s in stop_list:
-        if s < t0 or s > t_end:
+        if not t0 <= s <= t_end:
             raise ParameterError("stop %r outside [%r, %r]" % (s, t0, t_end))
+    for s, s_next in zip(stop_list, stop_list[1:]):
+        if not s < s_next:
+            raise ParameterError("stops must increase strictly, got %r then %r" % (s, s_next))
     stop_idx = 0
     if observer is not None and stop_list and stop_list[0] == t:
-        observer(t, y)
+        observer(t, a, b)
         stop_idx = 1
     if t_end == t0:
-        return t, y, 0, 0
+        return t, (a, b), 0, 0
 
-    def g(s, v, _):
-        return np.asarray(f(s, v)), 0.0, 0.0
+    def g(s, u, v):
+        du, dv = f(s, u, v)
+        return du, dv, 0.0
 
-    k1 = g(t, y, 0.0)
-    h = initial_step(f, t, y, k1[0], t_end, rtol, atol, max_step)
+    k1 = g(t, a, b)
+    h = initial_step(f, t, (a, b), k1[:2], t_end, rtol, atol, max_step)
     err_prev = 1.0
     just_rejected = False
     n_acc = 0
@@ -291,26 +327,27 @@ def integrate_array(
         # Written so that a NaN step (a zero error scale) raises too.
         if not h_try >= min_step:
             raise IntegrationError(
-                "step size underflow at t=%r" % (t,), tau=t, state=tuple(y)
+                "step size underflow at t=%r" % (t,), tau=t, state=(a, b)
             )
 
-        y_new, _, _, k7, err_vec = dp5_trial(g, t, h_try, y, 0.0, 0.0, k1)[:5]
-        scale = atol + rtol * np.maximum(np.abs(y), np.abs(y_new))
-        # np.mean's own sum and division, without its per-call overhead.
-        q = err_vec / scale
-        err = math.sqrt(float(np.add.reduce(q * q)) / q.size)
+        a_new, b_new, _, k7, e_a, e_b = dp5_trial(g, t, h_try, a, b, 0.0, k1)[:6]
+        scale = [
+            atol + rtol * max(abs(u), abs(v))
+            for u, v in zip(_parts(a, b), _parts(a_new, b_new))
+        ]
+        err = _rms(_parts(e_a, e_b), scale)
         h, err_prev = next_step(h_try, err, err_prev, just_rejected)
         just_rejected = not err <= 1.0
         if just_rejected:
             n_rej += 1
             continue
         t = target if hits_target else t + h_try
-        y = y_new
+        a, b = a_new, b_new
         k1 = k7
         n_acc += 1
         if stop_idx < len(stop_list) and t >= stop_list[stop_idx]:
             if observer is not None:
-                observer(t, y)
+                observer(t, a, b)
             stop_idx += 1
 
-    return t, y, n_acc, n_rej
+    return t, (a, b), n_acc, n_rej

@@ -21,6 +21,7 @@ divide by xi themselves.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -225,6 +226,47 @@ def quantum_potential(
     return E1_eV * lap / r0
 
 
+def check_count(name: str, n) -> None:
+    """Raise ParameterError unless n is a positive int (bool excluded)."""
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+        raise ParameterError("%s must be a positive int, got %r" % (name, n))
+
+
+def check_xi_max(xi_max) -> None:
+    """Raise ParameterError unless xi_max is finite and positive."""
+    if not (math.isfinite(xi_max) and xi_max > 0.0):
+        raise ParameterError("xi_max must be positive and finite, got %r" % (xi_max,))
+
+
+@functools.lru_cache(maxsize=None, typed=True)
+def gauss_legendre(n: int):
+    """Gauss-Legendre nodes and weights of degree n on (-1, 1), read-only.
+
+    numpy's leggauss solves an eigenproblem on every call; here each
+    degree is solved once per process, on first use.  typed=True keeps
+    True and 1.0 from reaching a cached degree 1 past the check.
+    """
+    check_count("quadrature degree", n)
+    nodes, weights = np.polynomial.legendre.leggauss(n)
+    nodes.flags.writeable = False
+    weights.flags.writeable = False
+    return nodes, weights
+
+
+def sphere_rule(n_xi: int, n_mu: int, xi_max: float):
+    """Product rule over xi in (0, xi_max) and mu = cos(theta) in (-1, 1).
+
+    Returns (xg, mg, wx, wm): the xi nodes as a column, the mu nodes as
+    a row, and the weights of each, for integrands on the xg x mg grid.
+    """
+    check_xi_max(xi_max)
+    nodes_x, weights_x = gauss_legendre(n_xi)
+    nodes_m, weights_m = gauss_legendre(n_mu)
+    xi = 0.5 * xi_max * (nodes_x + 1.0)
+    wx = 0.5 * xi_max * weights_x
+    return xi[:, None], nodes_m[None, :], wx, weights_m
+
+
 def normalization_quadrature(
     tau: float,
     coeffs: CoefficientState,
@@ -239,15 +281,7 @@ def normalization_quadrature(
     (-1, 1), times 2 pi for phi.  Equals 1 to quadrature accuracy for a
     normalized amplitude pair.
     """
-    nodes_x, weights_x = np.polynomial.legendre.leggauss(n_xi)
-    nodes_m, weights_m = np.polynomial.legendre.leggauss(n_mu)
-    # Map xi from (-1, 1) to (0, xi_max).
-    xi = 0.5 * xi_max * (nodes_x + 1.0)
-    wx = 0.5 * xi_max * weights_x
-    mu = nodes_m
-    wm = weights_m
-    xg = xi[:, None]
-    mg = mu[None, :]
+    xg, mg, wx, wm = sphere_rule(n_xi, n_mu, xi_max)
     rho = density(xg, np.arccos(mg), tau, coeffs)
     inner = rho * xg * xg
     return float(TWO_PI * np.einsum("i,j,ij->", wx, wm, inner))

@@ -28,6 +28,7 @@ from pilotwave import (
     envelope_T,
     envelope_Tprime,
     reversal_window,
+    stepping,
     transition_probability,
 )
 from pilotwave.drive import (
@@ -251,11 +252,13 @@ def test_numeric_solver_rejects_bad_inputs(reference_drive):
                 solve_coefficients_numeric(10.0, reference_drive, tol=tol)
             with pytest.raises(ParameterError):
                 NumericSource(reference_drive, 10.0, tol=tol)
-        with pytest.raises(IntegrationError), np.errstate(all="ignore"):
+        # Python floats raise on 0/0 where numpy gave NaN: the error
+        # norm must still end in IntegrationError.
+        with pytest.raises(IntegrationError):
             integrate_array(
-                lambda t, y: np.array([y[1], -y[0]]),
+                lambda t, a, b: (b, -a),
                 0.0,
-                np.array([1.0, 0.0]),
+                (1.0 + 0.0j, 0.0j),
                 1.0,
                 rtol=0.0,
                 atol=0.0,
@@ -269,6 +272,25 @@ def test_numeric_solver_rejects_bad_inputs(reference_drive):
     for tau in (math.nan, -1.0, 11.0):
         with pytest.raises(ParameterError):
             source.eval(tau)
+
+
+def test_verify_solve_takes_a_pinned_step_sequence(reference_drive, monkeypatch):
+    # The coefficient-oracle solve of verify: tau 0 to 2e4 at tol 1e-10,
+    # a stop every 20.  Its step counts pin the step sequence.  The
+    # solve looks integrate_array up at call time, so a wrapper set on
+    # the stepping module sees the call.
+    original = stepping.integrate_array
+    counts = []
+
+    def counted(*args, **kwargs):
+        out = original(*args, **kwargs)
+        counts.append(out[2:])
+        return out
+
+    monkeypatch.setattr(stepping, "integrate_array", counted)
+    series = solve_coefficients_numeric(2.0e4, reference_drive, tol=1e-10, stride=20.0)
+    assert counts == [(1005, 0)]
+    assert len(series) == 1001 and series[-1].tau == 2.0e4
 
 
 def test_numeric_solver_zero_span(reference_drive):

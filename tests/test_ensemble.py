@@ -118,6 +118,20 @@ def test_reference_masses_carry_unit_mass(reference_drive):
         assert overflow >= 0.0
 
 
+def test_reference_masses_reject_bad_cells(reference_drive):
+    # Unchecked, xi_max = -1 gives an overflow mass of 7.39 and bins = 0
+    # a bare IndexError.
+    coeffs = coefficients(0.0, reference_drive)
+    for xi_max in (-1.0, 0.0, math.nan, math.inf):
+        with pytest.raises(ParameterError):
+            reference_masses(0.0, coeffs, xi_max=xi_max)
+    for n in (0, -2, 2.5, True):
+        with pytest.raises(ParameterError):
+            reference_masses(0.0, coeffs, bins=n)
+        with pytest.raises(ParameterError):
+            reference_masses(0.0, coeffs, quad_points=n)
+
+
 def test_histogram_of_empty_ensemble_is_zero_mass():
     masses, overflow = histogram_masses(np.array([]), np.array([]), bins=20)
     assert masses.shape == (20, 20)

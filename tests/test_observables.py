@@ -17,6 +17,7 @@ import pytest
 
 from pilotwave import (
     CoefficientState,
+    ParameterError,
     SpatialPoint,
     coefficients,
     local_energy,
@@ -151,6 +152,18 @@ def test_expected_energy_matches_quadrature(reference_drive):
         closed = expected_energy(tau, reference_drive)
         quad = reference_energy(tau, reference_drive)
         assert abs(closed - quad) < 1e-10
+
+
+def test_reference_energy_rejects_bad_rules(reference_drive):
+    # Unchecked, a negative xi_max gives 1.2e7 eV.
+    for xi_max in (-5.0, 0.0, math.nan, math.inf):
+        with pytest.raises(ParameterError):
+            reference_energy(0.0, reference_drive, xi_max=xi_max)
+    for n in (0, -1, 80.0):
+        with pytest.raises(ParameterError):
+            reference_energy(0.0, reference_drive, n_xi=n)
+        with pytest.raises(ParameterError):
+            reference_energy(0.0, reference_drive, n_mu=n)
 
 
 def test_expected_energy_array_form(reference_drive):

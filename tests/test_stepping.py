@@ -7,12 +7,13 @@ differ only in their step control: they must agree on the same
 trajectories to within their tolerance.  The batch driver finishes its
 last few rows one at a time (ensemble.TAIL_ROWS); that row loop must
 give the sweep's result byte for byte.  integrate_array, which runs
-the same trial step on a state vector, is checked against its contract
-on a harmonic oscillator.
+the same trial step on a pair of complex numbers, is checked against
+its contract on a harmonic oscillator.
 """
 
 from __future__ import annotations
 
+import faulthandler
 import math
 
 import numpy as np
@@ -109,42 +110,57 @@ def test_dense_samples_match_a_tight_run_landing_there(reference_drive):
         )
 
 
-def _oscillator(t, y):
-    # y = (cos t, -sin t) from y(0) = (1, 0).
-    return np.array([y[1], -y[0]])
+def _oscillator(t, a, b):
+    # (a, b) = (cos t, -sin t) from (a, b)(0) = (1, 0).
+    return b, -a
+
+
+Y0 = (1.0 + 0.0j, 0.0j)
 
 
 def test_integrate_array_rejects_bad_spans():
-    y0 = np.array([1.0, 0.0])
-    with pytest.raises(ParameterError):
-        integrate_array(_oscillator, 1.0, y0, 0.5)
-    for stop in (-0.1, 2.5):
+    # Unchecked, an infinite span steps forever and a NaN start returns
+    # at once; a hang ends the test run with exit code 1.
+    faulthandler.dump_traceback_later(60.0, exit=True)
+    try:
+        for t0, t_end in ((1.0, 0.5), (0.0, math.inf), (math.nan, 1.0), (0.0, math.nan)):
+            with pytest.raises(ParameterError):
+                integrate_array(_oscillator, t0, Y0, t_end)
+    finally:
+        faulthandler.cancel_dump_traceback_later()
+    # Out of range, NaN, out of order and repeated stops; unchecked, the
+    # last two skip or merge observations.
+    for stops in ([-0.1], [2.5], [math.nan], [0.0, 1.5, 0.5, 2.0], [0.0, 1.0, 1.0, 2.0]):
         with pytest.raises(ParameterError):
-            integrate_array(_oscillator, 0.0, y0, 2.0, stops=[stop])
+            integrate_array(_oscillator, 0.0, Y0, 2.0, stops=stops)
+    # Unchecked, a NaN cap is ignored, since min(h, nan) is h.
+    for max_step in (math.nan, 0.0, -1.0):
+        with pytest.raises(ParameterError):
+            integrate_array(_oscillator, 0.0, Y0, 2.0, max_step=max_step)
 
 
 def test_integrate_array_empty_span_still_observes_the_start():
     seen = []
     t, y, accepted, rejected = integrate_array(
-        _oscillator, 0.5, [1.0, 0.0], 0.5, stops=[0.5],
-        observer=lambda s, v: seen.append((s, v.tolist())),
+        _oscillator, 0.5, Y0, 0.5, stops=[0.5],
+        observer=lambda s, a, b: seen.append((s, a, b)),
     )
-    assert (t, y.tolist(), accepted, rejected) == (0.5, [1.0, 0.0], 0, 0)
-    assert seen == [(0.5, [1.0, 0.0])]
+    assert (t, y, accepted, rejected) == (0.5, Y0, 0, 0)
+    assert seen == [(0.5, *Y0)]
 
 
 def test_integrate_array_lands_on_every_stop():
     stops = [0.0, 0.3, 1.0, 2.5, 4.0, 2.0 * math.pi]
     seen = []
-    t, y, accepted, _ = integrate_array(
-        _oscillator, 0.0, np.array([1.0, 0.0]), stops[-1], rtol=1e-10, atol=1e-12,
-        stops=stops, observer=lambda s, v: seen.append((s, v.copy())),
+    t, (a, b), accepted, _ = integrate_array(
+        _oscillator, 0.0, Y0, stops[-1], rtol=1e-10, atol=1e-12,
+        stops=stops, observer=lambda s, a, b: seen.append((s, a, b)),
     )
-    assert [s for s, _ in seen] == stops
+    assert [s for s, _, _ in seen] == stops
     assert t == stops[-1] and accepted > len(stops)
-    for s, v in seen:
-        assert np.all(np.abs(v - (math.cos(s), -math.sin(s))) < 1e-8)
-    assert np.all(np.abs(y - (1.0, 0.0)) < 1e-8)
+    for s, a_s, b_s in seen:
+        assert abs(a_s - math.cos(s)) < 1e-8 and abs(b_s + math.sin(s)) < 1e-8
+    assert abs(a - 1.0) < 1e-8 and abs(b) < 1e-8
 
 
 def _source(kind, drive):

@@ -20,6 +20,7 @@ import pytest
 from pilotwave import (
     CoefficientState,
     NodeProximityError,
+    ParameterError,
     SpatialPoint,
     coefficients,
     density,
@@ -31,6 +32,7 @@ from pilotwave.wavefield import (
     BETA,
     N1,
     N2,
+    gauss_legendre,
     grad_S,
     grad_log_rho,
     normalization_quadrature,
@@ -253,3 +255,30 @@ def test_normalization_driven(reference_drive):
     for tau in (0.0, 4500.0, 9148.0):
         total = normalization_quadrature(tau, coefficients(tau, reference_drive))
         assert abs(total - 1.0) < 1e-6
+
+
+def test_gauss_legendre_rule_is_cached_and_read_only():
+    nodes, weights = gauss_legendre(7)
+    for arr in (nodes, weights):
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+    again = gauss_legendre(7)
+    assert again[0].tobytes() == nodes.tobytes()
+    assert again[1].tobytes() == weights.tobytes()
+    fresh = np.polynomial.legendre.leggauss(7)
+    assert nodes.tobytes() == fresh[0].tobytes()
+    assert weights.tobytes() == fresh[1].tobytes()
+
+
+def test_normalization_rejects_bad_rules():
+    # Unchecked, a negative xi_max gives -903084 and a NaN one NaN.
+    for xi_max in (-5.0, 0.0, math.nan, math.inf):
+        with pytest.raises(ParameterError):
+            normalization_quadrature(0.0, GROUND, xi_max=xi_max)
+    for n in (0, -3, 2.0, True, None):
+        with pytest.raises(ParameterError):
+            gauss_legendre(n)
+        with pytest.raises(ParameterError):
+            normalization_quadrature(0.0, GROUND, n_xi=n)
+        with pytest.raises(ParameterError):
+            normalization_quadrature(0.0, GROUND, n_mu=n)
