@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from dataclasses import replace
@@ -29,11 +28,11 @@ import numpy as np
 
 from .config import RunConfig, load_config, load_preset, serialize_config
 from .drive import coefficient_arrays, envelope_T, envelope_Tprime
-from .engine import VERSION_TAG, integrate, split_intervals
+from .engine import VERSION_TAG, integrate, sample_grid, split_intervals
 # evolve_ensemble stays bound here: perfbench/layers.py wraps
 # cli.evolve_ensemble by name.
 from .ensemble import (
-    XI_MAX_BIN,
+    bin_edges,
     evolve_ensemble,  # noqa: F401
     evolve_targets,
     sample_arrays,
@@ -235,8 +234,7 @@ def _write_histogram_csv(path: str, summaries) -> None:
     blocks = []
     for s in summaries:
         nb = s.bins
-        xi_edges = np.linspace(0.0, XI_MAX_BIN, nb + 1)
-        mu_edges = np.linspace(-1.0, 1.0, nb + 1)
+        xi_edges, mu_edges = bin_edges(nb)
         blocks.append(
             {
                 "tau_target": np.full(nb * nb + 1, float(s.tau_target)),
@@ -261,9 +259,7 @@ def cmd_coefficients(args) -> int:
     cfg = _resolve_config(args)
     out = _out_dir(args, cfg)
     drive = cfg.drive()
-    n = max(int(math.floor(cfg.tau_max / cfg.output_stride)), 1)
-    tau = np.arange(n + 1) * cfg.output_stride
-    tau[-1] = min(tau[-1], cfg.tau_max)
+    tau = sample_grid(cfg.tau_max, cfg.output_stride)
     c_a, c_b = coefficient_arrays(tau, drive)
     cols = {
         "tau": tau,

@@ -35,6 +35,9 @@ and evaluate to
 
 with omega~ = 1 - Omega~ the drive frequency in units of omega0.
 
+V12, nu and omega0 derive from the CODATA constants; only nu and
+omega0 can be replaced, by the explicit rates derive_drive accepts.
+
 The guidance law and the energies read the amplitudes through four
 terms, |c_a|^2, |c_b|^2 and the real and imaginary parts of
 c_a* c_b exp(-i tau).  Each coefficient source gives them through its
@@ -55,7 +58,7 @@ from typing import Optional
 
 import numpy as np
 
-from .constants import CODATA, TWO_PI, PhysicalConstants
+from .constants import CODATA, TWO_PI
 from .errors import ParameterError
 
 # <100| x3 |210> in units of the Bohr radius: 2^7 sqrt(2) / 3^5.
@@ -160,11 +163,13 @@ def derive_drive(
     E0_Vpm: float,
     Omega_ps: float,
     *,
-    constants: PhysicalConstants = CODATA,
     nu_override_ps: Optional[float] = None,
     omega0_ps: Optional[float] = None,
 ) -> DriveParameters:
     """Build DriveParameters from a field amplitude and a detuning.
+
+    a, q and hbar are the constants.CODATA values, and so is omega0
+    unless omega0_ps replaces it.
 
     Parameters
     ----------
@@ -174,8 +179,6 @@ def derive_drive(
         Detuning omega0 - omega in 1/s; must be non-negative and below
         1e14 (warns above 1e13, where the two-level reduction is
         already strained).
-    constants : PhysicalConstants
-        Source for a, q, hbar and omega0.
     nu_override_ps : float, optional
         Replace the derived coupling rate V12/hbar with this value
         (must be negative, like the derived rate).
@@ -202,18 +205,18 @@ def derive_drive(
             stacklevel=2,
         )
 
-    omega0 = constants.omega0_ps if omega0_ps is None else float(omega0_ps)
+    omega0 = CODATA.omega0_ps if omega0_ps is None else float(omega0_ps)
     if not (math.isfinite(omega0) and omega0 > 0.0):
         raise ParameterError("omega0 must be positive, got %r" % (omega0,))
 
     V12_J = (
         -DIPOLE_MATRIX_ELEMENT
-        * constants.bohr_radius_m
-        * constants.elementary_charge_C
+        * CODATA.bohr_radius_m
+        * CODATA.elementary_charge_C
         * E0_Vpm
     )
     if nu_override_ps is None:
-        nu_ps = V12_J / constants.hbar_Js
+        nu_ps = V12_J / CODATA.hbar_Js
     else:
         # The override is a signed rate; zero switches the coupling off
         # (c_b stays 0) and is legitimate for baseline runs.
@@ -253,11 +256,6 @@ class CoefficientState:
     def cb_sq(self) -> float:
         """Upper-level population |c_b|^2."""
         return self.c_b.real**2 + self.c_b.imag**2
-
-    @property
-    def norm(self) -> float:
-        """|c_a|^2 + |c_b|^2; 1 for a physical state."""
-        return self.c_a.real**2 + self.c_a.imag**2 + self.cb_sq
 
 
 def coefficients(tau: float, drive: DriveParameters) -> CoefficientState:
@@ -599,24 +597,17 @@ class NumericSource:
     of the whole series.  Driven.  cross_terms(xp) gives the terms
     AnalyticSource's does, from eval one time at a time; through numpy
     it maps that over an array of times, so batch propagation refuses
-    this source.
+    this source.  The solve is sampled every tau_max/2000.
     """
 
     is_driven = True
 
-    def __init__(
-        self,
-        drive: DriveParameters,
-        tau_max: float,
-        tol: float = 1e-10,
-        stride: Optional[float] = None,
-    ):
+    def __init__(self, drive: DriveParameters, tau_max: float, tol: float = 1e-10):
         if not (math.isfinite(tau_max) and tau_max > 0.0):
             raise ParameterError("tau_max must be positive and finite, got %r" % (tau_max,))
         self.drive = drive
         self.tau_max = float(tau_max)
-        if stride is None:
-            stride = tau_max / 2000.0
+        stride = tau_max / 2000.0
         series = solve_coefficients_numeric(tau_max, drive, tol=tol, stride=stride)
         self._tau = np.array([s.tau for s in series])
         c_a = np.array([s.c_a for s in series])

@@ -78,7 +78,6 @@ from .wavefield import (
     BETA,
     N1,
     N2,
-    RHO_FLOOR,
     SpatialPoint,
     _parts,
     grad_log_rho,
@@ -93,25 +92,16 @@ AXIS_GUARD_INITIAL = 1e-3
 
 @dataclass(frozen=True)
 class SpinVector:
-    """Constant spin vector in units of hbar.
+    """Constant spin vector in units of hbar, along the z axis.
 
-    Only alignment with the z axis is supported; the guidance algebra
-    assumes the axisymmetric cross-product form.  s_z = +1/2 is the
-    physical spin-up electron; s_z = 0 removes the spin term entirely
-    (useful to attribute the azimuthal motion) and s_z = -1/2 flips the
+    The spin has no transverse components: the guidance algebra assumes
+    the axisymmetric cross-product form.  s_z = +1/2 is the physical
+    spin-up electron; s_z = 0 removes the spin term entirely (useful to
+    attribute the azimuthal motion) and s_z = -1/2 flips the
     circulation.
     """
 
-    s_x: float = 0.0
-    s_y: float = 0.0
     s_z: float = 0.5
-
-    def __post_init__(self):
-        if self.s_x != 0.0 or self.s_y != 0.0:
-            raise ParameterError(
-                "only spin aligned with the z axis is supported; got "
-                "s_x=%r s_y=%r" % (self.s_x, self.s_y)
-            )
 
 
 SPIN_UP = SpinVector()
@@ -184,11 +174,10 @@ def velocity_field(
     coeffs: CoefficientState,
     *,
     spin: SpinVector = SPIN_UP,
-    rho_floor: float = RHO_FLOOR,
 ) -> ScaledVelocity:
     """Scaled velocity at one point, derived from the wavefield gradients.
 
-    Raises NodeProximityError below the density floor and
+    Raises NodeProximityError below wavefield.RHO_FLOOR and
     AxisProximityError when sin(theta) < 1e-6.  This is the reference
     route; the integrator uses the algebraically identical closures
     from make_scalar_rhs.
@@ -198,8 +187,8 @@ def velocity_field(
         raise AxisProximityError(
             "sin(theta)=%.3e below the axis guard %.0e" % (st, AXIS_GUARD)
         )
-    gs_xi, gs_th = grad_S(point, tau, coeffs, rho_floor=rho_floor)
-    gl_xi, gl_th = grad_log_rho(point, tau, coeffs, rho_floor=rho_floor)
+    gs_xi, gs_th = grad_S(point, tau, coeffs)
+    gl_xi, gl_th = grad_log_rho(point, tau, coeffs)
     xi = point.xi
     ct = math.cos(point.theta)
     dxi = VELOCITY_SCALE * gs_xi

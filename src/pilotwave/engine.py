@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -126,8 +126,12 @@ class TrajectoryResult:
         return len(self.tau)
 
 
-def _sample_grid(tau_max: float, stride: float) -> np.ndarray:
-    """Output times: every stride multiple in [0, tau_max], plus tau_max."""
+def sample_grid(tau_max: float, stride: float) -> np.ndarray:
+    """Output times: every stride multiple in [0, tau_max], plus tau_max.
+
+    The one sample grid of a run: trajectory.csv and coefficients.csv
+    both take their tau column from it.
+    """
     n = int(math.floor(tau_max / stride + 1e-9))
     grid = stride * np.arange(n + 1)
     if grid[-1] < tau_max - 1e-9 * max(1.0, tau_max):
@@ -374,7 +378,7 @@ def integrate(
     rhs = make_scalar_rhs(source, spin=spin)
     invariant = surface_constant(initial.xi, initial.theta)
     drive = source.drive
-    tau = _sample_grid(tau_max, config.output_stride)
+    tau = sample_grid(tau_max, config.output_stride)
     samples, n_acc, n_rej, min_rho = _integrate_scalar(
         rhs,
         (initial.xi, initial.theta, initial.phi),
@@ -426,17 +430,7 @@ def integrate_long(
             lo = hi = None
         if lo is not None and lo < tau_max:
             window = (lo, min(hi, tau_max))
-    manifest = RunManifest(
-        version=result.manifest.version,
-        drive=result.manifest.drive,
-        source=result.manifest.source,
-        initial=result.manifest.initial,
-        config=result.manifest.config,
-        tau_max=result.manifest.tau_max,
-        stats=result.manifest.stats,
-        reversal_window=window,
-    )
-    result.manifest = manifest
+    result.manifest = replace(result.manifest, reversal_window=window)
     return result
 
 

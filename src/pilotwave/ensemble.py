@@ -47,11 +47,13 @@ from .engine import IntegratorConfig
 from .errors import ParameterError
 from .observables import expected_energy, local_energy_array
 from .stepping import MAX_FACTOR, MIN_FACTOR, PI_ALPHA, PI_BETA, SAFETY, dp5_trial
-from .wavefield import SpatialPoint, check_count, check_xi_max, density, gauss_legendre
+from .wavefield import SpatialPoint, check_count, density, gauss_legendre
 
 DEFAULT_SEED = 20260819
 XI_MAX_BIN = 12.0
 DEFAULT_BINS = 20
+# Gauss-Legendre points per cell and axis in reference_masses.
+CELL_QUAD_POINTS = 12
 
 # Fraction of trajectories allowed to drop out (axis or step failure)
 # before a run is considered invalid.
@@ -165,25 +167,27 @@ def sample_initial(count: int, seed: int = DEFAULT_SEED) -> list[SpatialPoint]:
     ]
 
 
-def reference_masses(
-    tau: float,
-    coeffs: CoefficientState,
-    *,
-    bins: int = DEFAULT_BINS,
-    xi_max: float = XI_MAX_BIN,
-    quad_points: int = 12,
-):
+def bin_edges(bins: int):
+    """(xi_edges, mu_edges) of the bins x bins histogram grid.
+
+    bins + 1 edges each, over xi in [0, XI_MAX_BIN] and mu = cos(theta)
+    in [-1, 1]; the ensemble histogram, its reference masses and
+    histogram.csv all read them from here.
+    """
+    check_count("bins", bins)
+    return np.linspace(0.0, XI_MAX_BIN, bins + 1), np.linspace(-1.0, 1.0, bins + 1)
+
+
+def reference_masses(tau: float, coeffs: CoefficientState, *, bins: int = DEFAULT_BINS):
     """Quantum mass of each histogram cell at one time.
 
     Returns (masses[bins, bins], overflow) where masses[i, j] integrates
     2 pi rho xi^2 over the cell xi in bin i, mu = cos(theta) in bin j,
-    and overflow = 1 - sum(masses) is the mass beyond xi_max.
+    with CELL_QUAD_POINTS^2 nodes per cell, and overflow = 1 -
+    sum(masses) is the mass beyond XI_MAX_BIN.
     """
-    check_count("bins", bins)
-    check_xi_max(xi_max)
-    nodes, weights = gauss_legendre(quad_points)
-    xi_edges = np.linspace(0.0, xi_max, bins + 1)
-    mu_edges = np.linspace(-1.0, 1.0, bins + 1)
+    xi_edges, mu_edges = bin_edges(bins)
+    nodes, weights = gauss_legendre(CELL_QUAD_POINTS)
     dxi = xi_edges[1] - xi_edges[0]
     dmu = mu_edges[1] - mu_edges[0]
     # Quadrature nodes of every cell in one array pass.
@@ -195,36 +199,23 @@ def reference_masses(
     mg = mu_mid.reshape(-1)[None, :]
     rho = density(xg, np.arccos(mg), tau, coeffs)
     integrand = 2.0 * math.pi * rho * xg * xg
-    integrand = integrand.reshape(bins, quad_points, bins, quad_points)
+    integrand = integrand.reshape(bins, CELL_QUAD_POINTS, bins, CELL_QUAD_POINTS)
     masses = np.einsum("q,r,iqjr->ij", wx, wm, integrand)
     overflow = 1.0 - float(masses.sum())
     return masses, overflow
 
 
-def histogram_masses(
-    xi: np.ndarray,
-    theta: np.ndarray,
-    *,
-    bins: int = DEFAULT_BINS,
-    xi_max: float = XI_MAX_BIN,
-):
-    """Fraction of samples in each cell, plus the xi > xi_max overflow."""
+def histogram_masses(xi: np.ndarray, theta: np.ndarray, *, bins: int = DEFAULT_BINS):
+    """Fraction of samples in each cell, plus the xi > XI_MAX_BIN overflow."""
+    edges = bin_edges(bins)
     n = len(xi)
     if n == 0:
         # Zero survivors carry zero mass; the caller still gets a full
         # summary (TV against the density is then ~1).
         return np.zeros((bins, bins)), 0.0
-    mu = np.cos(theta)
-    counts, _, _ = np.histogram2d(
-        xi,
-        mu,
-        bins=[
-            np.linspace(0.0, xi_max, bins + 1),
-            np.linspace(-1.0, 1.0, bins + 1),
-        ],
-    )
+    counts, _, _ = np.histogram2d(xi, np.cos(theta), bins=edges)
     inside = counts / n
-    overflow = float(np.sum(xi > xi_max)) / n
+    overflow = float(np.sum(xi > XI_MAX_BIN)) / n
     return inside, overflow
 
 
@@ -235,11 +226,10 @@ def tv_distance(
     coeffs: CoefficientState,
     *,
     bins: int = DEFAULT_BINS,
-    xi_max: float = XI_MAX_BIN,
 ) -> float:
     """Total-variation distance between the ensemble and the density."""
-    observed, obs_over = histogram_masses(xi, theta, bins=bins, xi_max=xi_max)
-    expected, exp_over = reference_masses(tau, coeffs, bins=bins, xi_max=xi_max)
+    observed, obs_over = histogram_masses(xi, theta, bins=bins)
+    expected, exp_over = reference_masses(tau, coeffs, bins=bins)
     return _tv(observed, obs_over, expected, exp_over)
 
 

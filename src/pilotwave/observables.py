@@ -23,6 +23,10 @@ The expectation value over the density follows in closed form,
 with M12 = 128 sqrt(2)/243 the dipole matrix element; the quadrature
 route reference_energy integrates rho * E_local numerically and is used
 to cross-check that form in the tests.
+
+E1 and E2 are always the CODATA level energies.  The density floor is
+wavefield.RHO_FLOOR, except in local_energy_array, which takes the
+run's IntegratorConfig.rho_floor.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ from typing import Optional
 
 import numpy as np
 
-from .constants import CODATA, PhysicalConstants
+from .constants import CODATA
 from .drive import (
     AnalyticSource,
     CoefficientState,
@@ -68,18 +72,15 @@ def local_energy(
     tau: float,
     coeffs: CoefficientState,
     drive: Optional[DriveParameters] = None,
-    *,
-    constants: PhysicalConstants = CODATA,
-    rho_floor: float = RHO_FLOOR,
 ) -> LocalEnergy:
     """Local energy at one point; include the field term when drive is given.
 
     Pass drive=None for undriven (frozen) states: the atom then carries
     no field term and a pure eigenstate reports its level energy
-    everywhere.
+    everywhere.  Below RHO_FLOOR the total is the clip sentinel.
     """
-    E1 = constants.E1_eV
-    E2 = constants.E2_eV
+    E1 = CODATA.E1_eV
+    E2 = CODATA.E2_eV
     xi, theta = point.xi, point.theta
     ct = math.cos(theta)
     u1 = N1 * math.exp(-xi)
@@ -98,7 +99,7 @@ def local_energy(
     else:
         drive_part = 0.0
 
-    if rho < rho_floor:
+    if rho < RHO_FLOOR:
         total = math.copysign(ENERGY_CLIP_EV, numerator)
         return LocalEnergy(
             total_eV=total,
@@ -124,7 +125,6 @@ def local_energy_array(
     tp,
     drive: Optional[DriveParameters] = None,
     *,
-    constants: PhysicalConstants = CODATA,
     rho_floor: float = RHO_FLOOR,
 ):
     """Local energies at many points in the real envelope form.
@@ -140,8 +140,8 @@ def local_energy_array(
     clipped): below rho_floor the energy is the clip sentinel, as in
     local_energy, and carries no field term.
     """
-    E1 = constants.E1_eV
-    E2 = constants.E2_eV
+    E1 = CODATA.E1_eV
+    E2 = CODATA.E2_eV
     ct = np.cos(theta)
     u1 = N1 * np.exp(-xi)
     u2 = N2 * xi * np.exp(-0.5 * xi) * ct
@@ -158,15 +158,10 @@ def local_energy_array(
     return h0, clipped
 
 
-def expected_energy(
-    tau,
-    drive: DriveParameters,
-    *,
-    constants: PhysicalConstants = CODATA,
-):
+def expected_energy(tau, drive: DriveParameters):
     """Closed-form <E>(tau) over the driven density; scalar or array."""
-    E1 = constants.E1_eV
-    E2 = constants.E2_eV
+    E1 = CODATA.E1_eV
+    E2 = CODATA.E2_eV
     tau = np.asarray(tau, dtype=float)
     ca2, cb2, tp, _ = AnalyticSource(drive).cross_terms(np)(tau)
     w = reduce_angle(drive.omega_t * tau)
@@ -174,26 +169,18 @@ def expected_energy(
     return float(out) if np.ndim(out) == 0 else out
 
 
-def reference_energy(
-    tau: float,
-    drive: DriveParameters,
-    *,
-    constants: PhysicalConstants = CODATA,
-    n_xi: int = 160,
-    n_mu: int = 80,
-    xi_max: float = 40.0,
-) -> float:
-    """<E>(tau) by Gauss-Legendre quadrature of rho * E_local.
+def reference_energy(tau: float, drive: DriveParameters) -> float:
+    """<E>(tau) by Gauss-Legendre quadrature of rho * E_local on sphere_rule.
 
     Independent of expected_energy (no envelope shortcut for the
     integrals); agrees with it to quadrature accuracy.
     """
     from .drive import coefficients
 
-    xg, mg, wx, wm = sphere_rule(n_xi, n_mu, xi_max)
+    xg, mg, wx, wm = sphere_rule()
     coeffs = coefficients(tau, drive)
-    E1 = constants.E1_eV
-    E2 = constants.E2_eV
+    E1 = CODATA.E1_eV
+    E2 = CODATA.E2_eV
     u1 = N1 * np.exp(-xg)
     u2 = N2 * xg * np.exp(-0.5 * xg) * mg
     ca, cb = coeffs.c_a, coeffs.c_b

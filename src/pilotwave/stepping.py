@@ -236,7 +236,7 @@ def _rms(num, den):
     return math.sqrt((((q0 * q0 + q1 * q1) + q2 * q2) + q3 * q3) / 4)
 
 
-def initial_step(f, t0, y0, k1, t_end, rtol, atol, max_step):
+def initial_step(f, t0, y0, k1, t_end, rtol, atol):
     """Starting step size from the standard two-evaluation heuristic.
 
     y0 and k1 are the complex pair and its rates, f as in integrate_array.
@@ -247,14 +247,14 @@ def initial_step(f, t0, y0, k1, t_end, rtol, atol, max_step):
     d0 = _rms(_parts(a, b), scale)
     d1 = _rms(_parts(ka, kb), scale)
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
-    h0 = min(h0, abs(t_end - t0), max_step)
+    h0 = min(h0, abs(t_end - t0))
     ka2, kb2 = f(t0 + h0, a + h0 * ka, b + h0 * kb)
     d2 = _rms(_parts(ka2 - ka, kb2 - kb), scale) / h0
     if max(d1, d2) <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
         h1 = (0.01 / max(d1, d2)) ** 0.2
-    return min(100.0 * h0, h1, abs(t_end - t0), max_step)
+    return min(100.0 * h0, h1, abs(t_end - t0))
 
 
 def integrate_array(
@@ -265,8 +265,6 @@ def integrate_array(
     *,
     rtol: float = 1e-8,
     atol: float = 1e-10,
-    max_step: float = math.inf,
-    min_step: float = 1e-12,
     stops: Optional[Sequence[float]] = None,
     observer: Optional[Callable] = None,
 ) -> tuple[float, tuple[complex, complex], int, int]:
@@ -277,16 +275,14 @@ def integrate_array(
     error norm is the RMS over the four real parts.  The integrator
     lands exactly on every value in stops (strictly increasing, within
     [t0, t_end]) and calls observer(t, a, b) there, as well as at t0 if
-    stops starts there.  t0 and t_end must be finite and max_step
-    positive (inf, the default, sets no cap).  Returns
+    stops starts there.  t0 and t_end must be finite.  The step size
+    has no cap; a step below 1e-12 raises IntegrationError.  Returns
     (t, (a, b), accepted, rejected).
     """
     if not (math.isfinite(t0) and math.isfinite(t_end)):
         raise ParameterError("integrate_array requires finite t0 and t_end")
     if t_end < t0:
         raise ParameterError("integrate_array requires t_end >= t0")
-    if not max_step > 0.0:
-        raise ParameterError("max_step must be positive, got %r" % (max_step,))
     t = float(t0)
     a, b = y0
 
@@ -309,7 +305,7 @@ def integrate_array(
         return du, dv, 0.0
 
     k1 = g(t, a, b)
-    h = initial_step(f, t, (a, b), k1[:2], t_end, rtol, atol, max_step)
+    h = initial_step(f, t, (a, b), k1[:2], t_end, rtol, atol)
     err_prev = 1.0
     just_rejected = False
     n_acc = 0
@@ -320,12 +316,10 @@ def integrate_array(
         if target <= t:
             stop_idx += 1
             continue
-        h_try = min(h, max_step)
-        hits_target = h_try >= target - t
-        if hits_target:
-            h_try = target - t
+        hits_target = h >= target - t
+        h_try = target - t if hits_target else h
         # Written so that a NaN step (a zero error scale) raises too.
-        if not h_try >= min_step:
+        if not h_try >= 1e-12:
             raise IntegrationError(
                 "step size underflow at t=%r" % (t,), tau=t, state=(a, b)
             )

@@ -16,6 +16,10 @@ Derivative components are reported raw: d_theta means the plain
 partial derivative with respect to theta, not the physical
 (1/xi) d/d(theta) component.  Consumers that need physical components
 divide by xi themselves.
+
+The gradients and the quantum potential refuse points below the one
+density floor RHO_FLOOR, and normalization_quadrature integrates on the
+one whole-space rule, sphere_rule; neither can be set per call.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import TWO_PI
+from .constants import CODATA, TWO_PI
 from .drive import CoefficientState, reduce_angle
 from .errors import NodeProximityError, ParameterError
 
@@ -39,6 +43,12 @@ BETA = 4.0 * math.sqrt(2.0)
 
 # Density floor below which phase gradients are not returned.
 RHO_FLOOR = 1e-12
+
+# Whole-space quadrature (sphere_rule): Gauss-Legendre degrees in xi
+# and in mu = cos(theta), and the radial cutoff.
+SPHERE_N_XI = 160
+SPHERE_N_MU = 80
+SPHERE_XI_MAX = 40.0
 
 
 @dataclass(frozen=True)
@@ -121,22 +131,18 @@ def density(xi, theta, tau, coeffs: CoefficientState):
 
 
 def grad_S(
-    point: SpatialPoint,
-    tau: float,
-    coeffs: CoefficientState,
-    *,
-    rho_floor: float = RHO_FLOOR,
+    point: SpatialPoint, tau: float, coeffs: CoefficientState
 ) -> tuple[float, float]:
     """Raw phase-gradient components (dS/dxi, dS/dtheta).
 
     Computed as Im{(d psi) psi*} / rho, which is well defined wherever
-    rho >= rho_floor; raises NodeProximityError below the floor.
+    rho >= RHO_FLOOR; raises NodeProximityError below the floor.
     """
     w = eval_wave(point, tau, coeffs)
-    if w.rho < rho_floor:
+    if w.rho < RHO_FLOOR:
         raise NodeProximityError(
             "density %.3e below floor %.3e at xi=%r theta=%r"
-            % (w.rho, rho_floor, point.xi, point.theta)
+            % (w.rho, RHO_FLOOR, point.xi, point.theta)
         )
     pc = w.psi.conjugate()
     return (
@@ -146,11 +152,7 @@ def grad_S(
 
 
 def grad_log_rho(
-    point: SpatialPoint,
-    tau: float,
-    coeffs: CoefficientState,
-    *,
-    rho_floor: float = RHO_FLOOR,
+    point: SpatialPoint, tau: float, coeffs: CoefficientState
 ) -> tuple[float, float]:
     """Raw components (d log rho/dxi, d log rho/dtheta).
 
@@ -158,10 +160,10 @@ def grad_log_rho(
     below the density floor.
     """
     w = eval_wave(point, tau, coeffs)
-    if w.rho < rho_floor:
+    if w.rho < RHO_FLOOR:
         raise NodeProximityError(
             "density %.3e below floor %.3e at xi=%r theta=%r"
-            % (w.rho, rho_floor, point.xi, point.theta)
+            % (w.rho, RHO_FLOOR, point.xi, point.theta)
         )
     pc = w.psi.conjugate()
     return (
@@ -176,8 +178,6 @@ def quantum_potential(
     coeffs: CoefficientState,
     *,
     step: float = 2.5e-4,
-    rho_floor: float = RHO_FLOOR,
-    E1_eV: "float | None" = None,
 ) -> float:
     """Quantum potential -hbar^2/(2m) (Laplacian sqrt(rho))/sqrt(rho) in eV.
 
@@ -188,13 +188,9 @@ def quantum_potential(
         lap R = R_xixi + (2/xi) R_xi + (R_thth + cot(theta) R_th)/xi^2.
 
     In scaled units -hbar^2/(2 m a^2) is the 1s energy, so the result
-    is E1_eV * lap(R)/R.  Warns when xi < 2*step, where the radial
-    stencil degenerates against the origin.
+    is E1 * lap(R)/R with the CODATA E1.  Warns when xi < 2*step, where
+    the radial stencil degenerates against the origin.
     """
-    if E1_eV is None:
-        from .constants import CODATA
-
-        E1_eV = CODATA.E1_eV
     xi, th = point.xi, point.theta
     h = step
     if xi < 2.0 * h:
@@ -209,10 +205,10 @@ def quantum_potential(
         return math.sqrt(r)
 
     r0 = R(xi, th)
-    if r0 * r0 < rho_floor:
+    if r0 * r0 < RHO_FLOOR:
         raise NodeProximityError(
             "density %.3e below floor %.3e; quantum potential undefined"
-            % (r0 * r0, rho_floor)
+            % (r0 * r0, RHO_FLOOR)
         )
     rxp = R(xi + h, th)
     rxm = R(xi - h, th)
@@ -223,19 +219,13 @@ def quantum_potential(
     d2t = (rtp - 2.0 * r0 + rtm) / (h * h)
     d1t = (rtp - rtm) / (2.0 * h)
     lap = d2x + 2.0 * d1x / xi + (d2t + d1t / math.tan(th)) / (xi * xi)
-    return E1_eV * lap / r0
+    return CODATA.E1_eV * lap / r0
 
 
 def check_count(name: str, n) -> None:
     """Raise ParameterError unless n is a positive int (bool excluded)."""
     if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
         raise ParameterError("%s must be a positive int, got %r" % (name, n))
-
-
-def check_xi_max(xi_max) -> None:
-    """Raise ParameterError unless xi_max is finite and positive."""
-    if not (math.isfinite(xi_max) and xi_max > 0.0):
-        raise ParameterError("xi_max must be positive and finite, got %r" % (xi_max,))
 
 
 @functools.lru_cache(maxsize=None, typed=True)
@@ -253,35 +243,27 @@ def gauss_legendre(n: int):
     return nodes, weights
 
 
-def sphere_rule(n_xi: int, n_mu: int, xi_max: float):
-    """Product rule over xi in (0, xi_max) and mu = cos(theta) in (-1, 1).
+def sphere_rule():
+    """Product rule over xi in (0, SPHERE_XI_MAX) and mu = cos(theta) in (-1, 1).
 
-    Returns (xg, mg, wx, wm): the xi nodes as a column, the mu nodes as
-    a row, and the weights of each, for integrands on the xg x mg grid.
+    Degree SPHERE_N_XI in xi and SPHERE_N_MU in mu.  Returns (xg, mg,
+    wx, wm): the xi nodes as a column, the mu nodes as a row, and the
+    weights of each, for integrands on the xg x mg grid.
     """
-    check_xi_max(xi_max)
-    nodes_x, weights_x = gauss_legendre(n_xi)
-    nodes_m, weights_m = gauss_legendre(n_mu)
-    xi = 0.5 * xi_max * (nodes_x + 1.0)
-    wx = 0.5 * xi_max * weights_x
+    nodes_x, weights_x = gauss_legendre(SPHERE_N_XI)
+    nodes_m, weights_m = gauss_legendre(SPHERE_N_MU)
+    xi = 0.5 * SPHERE_XI_MAX * (nodes_x + 1.0)
+    wx = 0.5 * SPHERE_XI_MAX * weights_x
     return xi[:, None], nodes_m[None, :], wx, weights_m
 
 
-def normalization_quadrature(
-    tau: float,
-    coeffs: CoefficientState,
-    *,
-    n_xi: int = 160,
-    n_mu: int = 80,
-    xi_max: float = 40.0,
-) -> float:
+def normalization_quadrature(tau: float, coeffs: CoefficientState) -> float:
     """Integral of rho over all space by Gauss-Legendre quadrature.
 
-    Integrates rho xi^2 over xi in (0, xi_max], mu = cos(theta) in
-    (-1, 1), times 2 pi for phi.  Equals 1 to quadrature accuracy for a
-    normalized amplitude pair.
+    Integrates rho xi^2 on sphere_rule, times 2 pi for phi.  Equals 1
+    to quadrature accuracy for a normalized amplitude pair.
     """
-    xg, mg, wx, wm = sphere_rule(n_xi, n_mu, xi_max)
+    xg, mg, wx, wm = sphere_rule()
     rho = density(xg, np.arccos(mg), tau, coeffs)
     inner = rho * xg * xg
     return float(TWO_PI * np.einsum("i,j,ij->", wx, wm, inner))

@@ -176,6 +176,18 @@ def test_coefficients_zero_rabi_stays_dark(tmp_path):
     assert np.all(cols["Tprime"] == 0.0)
 
 
+def test_coefficients_share_the_trajectory_tau_column(tmp_path):
+    # tau_max = 10.5 is no stride multiple; both files end on it.
+    cfg_path = write_cfg(tmp_path, tau_max=10.5, output_stride=1.0)
+    out = tmp_path / "out"
+    assert main(["coefficients", "--config", cfg_path, "--out", str(out)]) == 0
+    assert main(["simulate", "--config", cfg_path, "--out", str(out)]) == 0
+    _, scan = read_csv_columns(out / "coefficients.csv")
+    _, traj = read_csv_columns(out / "trajectory.csv")
+    assert scan["tau"].tolist() == traj["tau"].tolist()
+    assert scan["tau"][-1] == 10.5
+
+
 # ---------------------------------------------------------------------------
 # ensemble
 

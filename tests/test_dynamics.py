@@ -137,7 +137,7 @@ def test_spin_does_not_touch_sheet_motion(reference_drive):
 
 
 def test_transverse_spin_rejected():
-    with pytest.raises(ParameterError):
+    with pytest.raises(TypeError):
         SpinVector(s_x=0.5)
 
 

