@@ -22,14 +22,16 @@ Scaling by hbar/(m a^2 omega0) = 8/3 gives the equations of motion
 (all derivatives raw).  velocity_field computes these through the
 wavefield gradient routines.  guidance_current writes the same algebra
 once in closed form, as the current rho v and the density, on Python
-floats or numpy arrays; make_scalar_rhs (the integrator hot loop),
-make_batch_rhs (trajectory ensembles) and pauli_current all divide its
-output instead of repeating it.  make_row_rhs runs make_batch_rhs's
-numpy code on one row's floats, bit for bit, for the ensemble's last
-few rows.  The amplitude terms |c_a|^2, |c_b|^2 and c_a* c_b e^(-i tau)
-that the rhs builders feed it come from the coefficient source's own
-cross_terms(xp), on floats (xp = math) or arrays (xp = numpy); see
-drive.
+floats; make_scalar_rhs (the integrator hot loop) and pauli_current
+divide its output instead of repeating it.  No ensemble statistic reads
+phi, so make_batch_rhs gives only dxi and dtheta (0.0 as dphi), from
+_numpy_rates: guidance_current's in-plane lines on arrays, kept apart
+so that the float path pays no extra call or branch per evaluation.
+make_row_rhs runs make_batch_rhs's numpy code on one row's floats, bit
+for bit, for the ensemble's last few rows.  The amplitude terms
+|c_a|^2, |c_b|^2 and c_a* c_b e^(-i tau) that the rhs builders use come
+from the coefficient source's own cross_terms(xp), on floats
+(xp = math) or arrays (xp = numpy); see drive.
 
 Sines and cosines: the numpy path takes theta's pair from one tangent
 of its half angle, drive._sincos, as the sources' numpy terms do,
@@ -244,28 +246,26 @@ def make_scalar_rhs(
             )
         ca2, cb2, tp, im = last[1]
         j_xi, j_theta, j_phi, rho = guidance_current(
-            math, xi, sn, math.cos(theta), ca2, cb2, tp, im, sz
+            xi, sn, math.cos(theta), ca2, cb2, tp, im, sz
         )
         return j_xi / rho, j_theta / (xi * xi * rho), j_phi / (xi * rho), rho
 
     return rhs
 
 
-def guidance_current(xp, xi, sn, ct, ca2, cb2, tp, im, sz):
-    """Current and density of the guidance law, before any division.
+def guidance_current(xi, sn, ct, ca2, cb2, tp, im, sz):
+    """Current and density of the guidance law on floats, before any division.
 
-    xp is the math module for Python floats or numpy for arrays.  sn and
-    ct are sin(theta) and cos(theta), computed by the caller, which needs
-    sn anyway for its axis handling: the float callers (make_scalar_rhs,
-    pauli_current) take them from math.sin and math.cos, so the scalar
-    engine's numbers stay libm's; the numpy caller takes both from one
-    _sincos call.  ca2 = |c_a|^2, cb2 = |c_b|^2, tp + i im =
-    c_a* c_b e^(-i tau) and sz is the spin's z component.  Returns
-    (rho dxi/dtau, rho xi^2 dtheta/dtau, rho xi dphi/dtau, rho); no guard
-    fires here.
+    sn and ct are sin(theta) and cos(theta), computed by the caller,
+    which needs sn anyway for its axis handling: the callers
+    (make_scalar_rhs, pauli_current) take them from math.sin and
+    math.cos, so the scalar engine's numbers stay libm's.  ca2 = |c_a|^2,
+    cb2 = |c_b|^2, tp + i im = c_a* c_b e^(-i tau) and sz is the spin's
+    z component.  Returns (rho dxi/dtau, rho xi^2 dtheta/dtau,
+    rho xi dphi/dtau, rho); no guard fires here.
     """
-    ex1 = xp.exp(-xi)
-    exh = xp.exp(-0.5 * xi)
+    ex1 = math.exp(-xi)
+    exh = math.exp(-0.5 * xi)
     u1 = N1 * ex1
     b = N2 * xi * exh
     u2 = b * ct
@@ -284,26 +284,38 @@ def guidance_current(xp, xi, sn, ct, ca2, cb2, tp, im, sz):
     return fi * (u2x + u2), fi * u2t, j_phi, rho
 
 
-def _numpy_rates(xi, theta, terms, sz):
-    """(dxi, dtheta, dphi, rho) through numpy from the cross terms at tau."""
+def _numpy_rates(xi, theta, terms):
+    """(dxi, dtheta, 0.0, rho) through numpy from the cross terms at tau.
+
+    guidance_current's in-plane lines in its operation order, with
+    theta's sine and cosine from one _sincos call; 0.0 fills the slot
+    of dphi, which is not computed.
+    """
     ca2, cb2, tp, im = terms
     sn, ct = _sincos(theta)
-    j_xi, j_theta, j_phi, rho = guidance_current(
-        np, xi, sn, ct, ca2, cb2, tp, im, sz
-    )
-    return j_xi / rho, j_theta / (xi * xi * rho), j_phi / (xi * rho), rho
+    ex1 = np.exp(-xi)
+    exh = np.exp(-0.5 * xi)
+    u1 = N1 * ex1
+    b = N2 * xi * exh
+    u2 = b * ct
+    u2x = N2 * (1.0 - 0.5 * xi) * exh * ct
+    u2t = -b * sn
+    rho = ca2 * u1 * u1 + cb2 * u2 * u2 + 2.0 * u1 * u2 * tp
+    fi = VELOCITY_SCALE * im * u1
+    return fi * (u2x + u2) / rho, fi * u2t / (xi * xi * rho), 0.0, rho
 
 
-def make_batch_rhs(source, *, spin: SpinVector = SPIN_UP):
-    """Vectorized analogue of make_scalar_rhs for ensemble propagation.
+def make_batch_rhs(source):
+    """Vectorized in-plane analogue of make_scalar_rhs for ensembles.
 
     Returns f(tau, xi, theta) mapping equal-length arrays to
-    (dxi, dtheta, dphi, rho) arrays.  Axis handling is the caller's
-    job (the batch integrator drops trajectories near the axis), so no
-    guard fires here.
+    (dxi, dtheta, 0.0, rho).  The ensemble carries (xi, theta) and does
+    not propagate phi, so dphi's slot holds 0.0 and no spin is taken
+    (it enters only dphi).  Axis handling is the caller's job (the
+    batch integrator drops trajectories near the axis), so no guard
+    fires here.
     """
     cross = source.cross_terms(np)
-    sz = spin.s_z
     # A copy of the last tau and its cross terms.  NaN equals nothing,
     # so the first call always fills it, whatever its length.
     last = [np.array(math.nan), None]
@@ -313,29 +325,28 @@ def make_batch_rhs(source, *, spin: SpinVector = SPIN_UP):
         # the second evaluation reuses the first one's cross terms.
         if not np.array_equal(tau, last[0]):
             last[0], last[1] = np.array(tau), cross(tau)
-        return _numpy_rates(xi, theta, last[1], sz)
+        return _numpy_rates(xi, theta, last[1])
 
     return rhs
 
 
-def make_row_rhs(source, *, spin: SpinVector = SPIN_UP):
+def make_row_rhs(source):
     """make_batch_rhs for one trajectory, called with Python floats.
 
     The same numpy arithmetic runs on scalars, so each value equals the
-    batch rhs's value for that row bit for bit; the four results are
-    returned as Python floats, which the caller's arithmetic runs
+    batch rhs's value for that row bit for bit; (dxi, dtheta, 0.0, rho)
+    come back as Python floats, which the caller's arithmetic runs
     faster on.  The math module would not do: math.exp and np.exp round
     differently for a few percent of arguments.
     """
     cross = source.cross_terms(np)
-    sz = spin.s_z
     last = [math.nan, None]  # the last tau and its cross terms
 
     def rhs(tau, xi, theta):
         if tau != last[0]:
             last[0], last[1] = tau, cross(tau)
-        dxi, dtheta, dphi, rho = _numpy_rates(xi, theta, last[1], sz)
-        return float(dxi), float(dtheta), float(dphi), float(rho)
+        dxi, dtheta, _, rho = _numpy_rates(xi, theta, last[1])
+        return float(dxi), float(dtheta), 0.0, float(rho)
 
     return rhs
 
@@ -368,7 +379,7 @@ def pauli_current(
     cb2 = cb.real * cb.real + cb.imag * cb.imag
     m = ca.conjugate() * cb * cmath.exp(-1j * reduce_angle(tau))
     j_xi, j_theta, j_phi, _ = guidance_current(
-        math, xi, st, math.cos(point.theta), ca2, cb2, m.real, m.imag, spin.s_z
+        xi, st, math.cos(point.theta), ca2, cb2, m.real, m.imag, spin.s_z
     )
     return j_xi, j_theta / (xi * xi), j_phi / xi
 

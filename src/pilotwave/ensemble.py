@@ -14,11 +14,17 @@ Binning noise makes the distance nonzero even at tau = 0, so the
 tau = 0 value of the same ensemble is the self-calibration baseline
 that later times are compared against.
 
+The ensemble carries (xi, theta) only: the histogram, the local energy
+and the drop-out counts read no phi, so phi is drawn but not
+propagated.
+
 Trajectories never couple: each row has its own clock and step size and
 all arithmetic is elementwise.  A cloud of at least 2 * SHARD_MIN_ROWS
 rows is therefore propagated in contiguous row slices, one process per
 CPU in the affinity mask, and the slices are joined in row order; the
-result is byte-identical for any number of CPUs.
+result is byte-identical for any number of CPUs.  For the same reason a
+sweep may work on whole arrays while every row is still active, and
+gather the active rows through an index once some have finished.
 
 A batch sweep costs a fixed ~0.5 ms of numpy dispatch however few rows
 it steps, and a cloud's last rows to reach a target (those dwelling
@@ -42,7 +48,7 @@ import numpy as np
 
 from .constants import CODATA
 from .drive import AnalyticSource, CoefficientState, DriveParameters, NumericSource
-from .dynamics import AXIS_GUARD, SPIN_UP, SpinVector, make_batch_rhs, make_row_rhs
+from .dynamics import AXIS_GUARD, make_batch_rhs, make_row_rhs
 from .engine import IntegratorConfig
 from .errors import ParameterError
 from .observables import expected_energy, local_energy_array
@@ -245,28 +251,31 @@ def _advance_batch(
     row_rhs,
     xi: np.ndarray,
     theta: np.ndarray,
-    phi: np.ndarray,
     tau_targets,
     cfg: IntegratorConfig,
 ):
     """Vectorized DP 5(4) (see dp5_trial) with per-trajectory clocks and steps.
 
-    The cloud runs forward once through the ascending tau_targets; every
-    row lands exactly on each target, and its step size and controller
-    memory carry over the landing.  Returns one (xi, theta, phi, ok_mask,
+    The state is (xi, theta); phi is not propagated, dp5_trial's carried
+    slot holds 0.0 and the error norm is the RMS over xi and theta.  The
+    cloud runs forward once through the ascending tau_targets; every row
+    lands exactly on each target, and its step size and controller
+    memory carry over the landing.  Returns one (xi, theta, ok_mask,
     axis_mask, underflow_mask) per target; the coordinate arrays hold
     values only where ok_mask is set, and drop-outs accumulate.
 
-    rhs is a make_batch_rhs closure.  Once fewer than TAIL_ROWS rows of
-    a segment are still short of its target, each of them is finished
-    alone (_finish_row) with row_rhs, a make_row_rhs closure of the same
-    source; the result is the same, byte for byte.
+    rhs is a make_batch_rhs closure.  While every row is active, a sweep
+    works on the arrays themselves and stores accepted rows through a
+    mask; after that it gathers the active rows by index and scatters
+    them back, with the same arithmetic per row.  Once fewer than
+    TAIL_ROWS rows of a segment are still short of its target, each of
+    them is finished alone (_finish_row) with row_rhs, a make_row_rhs
+    closure of the same source; the result is the same, byte for byte.
     """
     n = len(xi)
     t = np.zeros(n)
     y0 = xi.copy()
     y1 = theta.copy()
-    y2 = phi.copy()
     h = np.full(n, min(0.1, cfg.max_step))
     err_prev = np.ones(n)
     just_rej = np.zeros(n, dtype=bool)
@@ -294,7 +303,7 @@ def _advance_batch(
         # stage evaluated at ti + (target - ti), which can be an ulp off
         # its clock, so every segment starts from a fresh call.
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            stage1 = list(rhs(t, y0, y1)[:3])
+            stage1 = list(rhs(t, y0, y1)[:2])
 
         active = alive & (t < tau_target)
         while active.any():
@@ -304,93 +313,84 @@ def _advance_batch(
                     for i in idx.tolist():
                         _finish_row(
                             row_rhs, i, tau_target, cfg,
-                            t, (y0, y1, y2), h, err_prev, just_rej, stage1, alive, under_out,
+                            t, (y0, y1), h, err_prev, just_rej, stage1, alive, under_out,
                         )
                 break
-            ti = t[idx]
-            hi = np.minimum(h[idx], cfg.max_step)
+            # Basic slicing gives views, so a sweep over every row
+            # gathers nothing.
+            whole = idx.size == n
+            rows = slice(None) if whole else idx
+            ti = t[rows]
+            hi = np.minimum(h[rows], cfg.max_step)
             rem = tau_target - ti
             hits = hi >= rem
             hi = np.where(hits, rem, hi)
 
             under = hi < cfg.min_step
             if under.any():
+                # These rows drop out; the others start the sweep again
+                # with the same clocks and steps.
                 sel = idx[under]
                 under_out[sel] = True
                 alive[sel] = False
-                keep = ~under
-                idx = idx[keep]
-                if idx.size == 0:
-                    active = alive & (t < tau_target)
-                    continue
-                ti = ti[keep]
-                hi = hi[keep]
-                hits = hits[keep]
+                active = alive & (t < tau_target)
+                continue
 
-            a0 = y0[idx]
-            a1 = y1[idx]
-            a2 = y2[idx]
+            a0 = y0[rows]
+            a1 = y1[rows]
 
             # A trial stage can momentarily leave the valid region (xi <= 0,
             # axis crossing, node); the resulting inf/nan is caught by the
             # error norm and the step is retried smaller, so the transient
             # warnings carry no information.
             with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                k1 = [k[idx] for k in stage1]
+                k1 = (stage1[0][rows], stage1[1][rows], 0.0)
                 # The slice drops the stages at once, so their arrays are
                 # freed before the next trial allocates its own.
-                b0, b1, b2, k7, e0, e1, e2 = dp5_trial(rhs, ti, hi, a0, a1, a2, k1)[:7]
+                b0, b1, _, k7, e0, e1 = dp5_trial(rhs, ti, hi, a0, a1, 0.0, k1)[:6]
                 s0 = atol + rtol * np.maximum(np.abs(a0), np.abs(b0))
                 s1 = atol + rtol * np.maximum(np.abs(a1), np.abs(b1))
-                s2 = atol + rtol * np.maximum(np.abs(a2), np.abs(b2))
-                err = np.sqrt(((e0 / s0) ** 2 + (e1 / s1) ** 2 + (e2 / s2) ** 2) / 3.0)
+                err = np.sqrt(((e0 / s0) ** 2 + (e1 / s1) ** 2) / 2.0)
                 # A trial state past the axis puts 1/sin(theta) on the wrong
                 # sheet, so its last stage and error mean nothing.
                 axis_hit = ~(np.sin(b1) >= AXIS_GUARD)
             err = np.where(np.isfinite(err), err, np.inf)
             err = np.where(axis_hit, np.inf, err)
-
             accept = err <= 1.0
-            acc_idx = idx[accept]
-            if acc_idx.size:
-                t[acc_idx] = np.where(hits[accept], tau_target, ti[accept] + hi[accept])
-                y0[acc_idx] = b0[accept]
-                y1[acc_idx] = b1[accept]
-                y2[acc_idx] = b2[accept]
-                for k, k_new in zip(stage1, k7):
-                    k[acc_idx] = k_new[accept]
-                e_acc = err[accept]
-                # Floor the error before powering: np.where evaluates both
-                # branches, and 0 ** -alpha would warn.
-                e_pow = np.maximum(e_acc, 1e-300)
-                fac = np.where(
-                    e_acc == 0.0,
-                    MAX_FACTOR,
-                    SAFETY * e_pow ** (-PI_ALPHA) * err_prev[acc_idx] ** PI_BETA,
-                )
-                fac = np.clip(fac, MIN_FACTOR, MAX_FACTOR)
-                fac = np.where(just_rej[acc_idx], np.minimum(fac, 1.0), fac)
-                h[acc_idx] = hi[accept] * fac
-                err_prev[acc_idx] = np.maximum(e_acc, 1e-4)
-                just_rej[acc_idx] = False
 
-            rej_idx = idx[~accept]
-            if rej_idx.size:
-                e_rej = err[~accept]
-                shrink = np.where(
-                    np.isfinite(e_rej),
-                    np.maximum(MIN_FACTOR, SAFETY * e_rej ** (-PI_ALPHA)),
-                    0.5,
-                )
-                h[rej_idx] = hi[~accept] * shrink
-                just_rej[rej_idx] = True
-                # Repeated axis failures shrink h below min_step and the
-                # trajectory is then dropped on a later sweep.
+            # The step factor of every row, accepted (PI) or rejected (I
+            # alone, or a halving).  Flooring the error first keeps
+            # 0 ** -alpha from warning; no rejected error is below 1.
+            grow = SAFETY * np.maximum(err, 1e-300) ** (-PI_ALPHA)
+            fac = np.where(err == 0.0, MAX_FACTOR, grow * err_prev[rows] ** PI_BETA)
+            fac = np.clip(fac, MIN_FACTOR, MAX_FACTOR)
+            fac = np.where(just_rej[rows], np.minimum(fac, 1.0), fac)
+            shrink = np.where(np.isfinite(err), np.maximum(MIN_FACTOR, grow), 0.5)
+            h[rows] = hi * np.where(accept, fac, shrink)
+            just_rej[rows] = ~accept
+            # Repeated axis failures shrink h below min_step and the
+            # trajectory is then dropped on a later sweep.
+
+            # What an accepted row takes on.
+            updates = (
+                (t, np.where(hits, tau_target, ti + hi)),
+                (y0, b0),
+                (y1, b1),
+                (err_prev, np.maximum(err, 1e-4)),
+                *zip(stage1, k7),
+            )
+            if whole:
+                for a, new in updates:
+                    np.copyto(a, new, where=accept)
+            else:
+                acc_idx = idx[accept]
+                for a, new in updates:
+                    a[acc_idx] = new[accept]
 
             active = alive & (t < tau_target)
 
         ok = alive & ~axis_out & ~under_out
-        states.append((y0.copy(), y1.copy(), y2.copy(), ok, axis_out.copy(), under_out.copy()))
+        states.append((y0.copy(), y1.copy(), ok, axis_out.copy(), under_out.copy()))
     return states
 
 
@@ -404,11 +404,12 @@ def _finish_row(
     (np.sin and np.power as the sweep has them; err squared by
     multiplication, as numpy squares an array).  row_rhs gives the batch
     rhs's values bit for bit, so the row ends exactly where the sweep
-    would have taken it.  The row's clock, state, step, controller memory
-    and stage-1 cache are read from and written back to the arrays
-    every step; the caller holds np.errstate as the sweep does.
+    would have taken it.  The row's clock, (xi, theta) state, step,
+    controller memory and stage-1 cache are read from and written back
+    to the arrays every step; the caller holds np.errstate as the sweep
+    does.
     """
-    y0, y1, y2 = y
+    y0, y1 = y
     rtol = cfg.rel_tol
     atol = cfg.abs_tol
     while t[i] < tau_target:
@@ -425,14 +426,12 @@ def _finish_row(
 
         a0 = y0.item(i)
         a1 = y1.item(i)
-        a2 = y2.item(i)
-        k1 = [k.item(i) for k in stage1]
-        b0, b1, b2, k7, e0, e1, e2 = dp5_trial(row_rhs, ti, hi, a0, a1, a2, k1)[:7]
+        k1 = (stage1[0].item(i), stage1[1].item(i), 0.0)
+        b0, b1, _, k7, e0, e1 = dp5_trial(row_rhs, ti, hi, a0, a1, 0.0, k1)[:6]
         # max(b, a) returns a NaN b, as np.maximum would.
         q0 = e0 / (atol + rtol * max(abs(b0), abs(a0)))
         q1 = e1 / (atol + rtol * max(abs(b1), abs(a1)))
-        q2 = e2 / (atol + rtol * max(abs(b2), abs(a2)))
-        err = math.sqrt((q0 * q0 + q1 * q1 + q2 * q2) / 3.0)
+        err = math.sqrt((q0 * q0 + q1 * q1) / 2.0)
         if not math.isfinite(err) or not np.sin(b1) >= AXIS_GUARD:
             err = math.inf
 
@@ -440,7 +439,6 @@ def _finish_row(
             t[i] = tau_target if hits else ti + hi
             y0[i] = b0
             y1[i] = b1
-            y2[i] = b2
             for k, k_new in zip(stage1, k7):
                 k[i] = k_new
             if err == 0.0:
@@ -473,7 +471,6 @@ def evolve_ensemble(
     source=None,
     seed: int = DEFAULT_SEED,
     bins: int = DEFAULT_BINS,
-    spin: SpinVector = SPIN_UP,
 ) -> EnsembleSummary:
     """Propagate an ensemble to tau_target and compare with the density.
 
@@ -483,7 +480,7 @@ def evolve_ensemble(
     it carries the summary and its message the counts.
     """
     (summary,) = evolve_targets(
-        points, (tau_target,), drive, config, source=source, seed=seed, bins=bins, spin=spin
+        points, (tau_target,), drive, config, source=source, seed=seed, bins=bins
     )
     error = summary.dropout_error()
     if error is not None:
@@ -500,12 +497,13 @@ def evolve_targets(
     source=None,
     seed: int = DEFAULT_SEED,
     bins: int = DEFAULT_BINS,
-    spin: SpinVector = SPIN_UP,
 ) -> list[EnsembleSummary]:
     """Propagate an ensemble once through every target time.
 
     points is a list of SpatialPoint or a (xi, theta, phi) array
-    triple.  drive selects the analytic driven amplitudes; pass
+    triple; the cloud is propagated as (xi, theta), so phi's shape is
+    checked but phi is not propagated, and the spin (it enters only
+    dphi) plays no part.  drive selects the analytic driven amplitudes; pass
     source=FrozenSource(...) (and drive=None) for undriven states.  A
     NumericSource is refused with ParameterError, whatever the targets.
     The seed is recorded in the summaries for bookkeeping only;
@@ -551,10 +549,10 @@ def evolve_targets(
 
     baseline = tv_distance(xi, theta, 0.0, source.eval(0.0), bins=bins)
     zeros = np.zeros(count, dtype=bool)
-    states = {0.0: (xi, theta, phi, ~zeros, zeros, zeros)}
+    states = {0.0: (xi, theta, ~zeros, zeros, zeros)}
     later = sorted({tau for tau in tau_targets if tau > 0.0})
     if later:
-        states.update(zip(later, _advance_sharded(source, spin, xi, theta, phi, later, config)))
+        states.update(zip(later, _advance_sharded(source, xi, theta, later, config)))
     summaries = {
         tau: _summarize(tau, state, source, config, baseline, seed, bins)
         for tau, state in states.items()
@@ -572,18 +570,18 @@ def _shard_count(n: int) -> int:
     return max(1, min(cpus, n // SHARD_MIN_ROWS))
 
 
-def _advance_shard(source, spin, xi, theta, phi, tau_targets, cfg):
+def _advance_shard(source, xi, theta, tau_targets, cfg):
     """_advance_batch on one slice of rows, with rhs closures built for it.
 
     The closures have memos and cannot be pickled, so every process
     builds its own; the memos reuse only exactly equal values.
     """
-    rhs = make_batch_rhs(source, spin=spin)
-    row_rhs = make_row_rhs(source, spin=spin)
-    return _advance_batch(rhs, row_rhs, xi, theta, phi, tau_targets, cfg)
+    rhs = make_batch_rhs(source)
+    row_rhs = make_row_rhs(source)
+    return _advance_batch(rhs, row_rhs, xi, theta, tau_targets, cfg)
 
 
-def _advance_sharded(source, spin, xi, theta, phi, tau_targets, cfg):
+def _advance_sharded(source, xi, theta, tau_targets, cfg):
     """_advance_batch over contiguous row slices, one process per slice.
 
     With one shard this is the single call.  Otherwise this process runs
@@ -593,23 +591,23 @@ def _advance_sharded(source, spin, xi, theta, phi, tau_targets, cfg):
     """
     shards = _shard_count(len(xi))
     if shards == 1:
-        return _advance_shard(source, spin, xi, theta, phi, tau_targets, cfg)
+        return _advance_shard(source, xi, theta, tau_targets, cfg)
 
     # Imported on first use, so that importing pilotwave does not load the pool.
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
-    slices = list(zip(*(np.array_split(a, shards) for a in (xi, theta, phi))))
+    slices = list(zip(*(np.array_split(a, shards) for a in (xi, theta))))
     # fork: workers inherit the imported modules instead of importing
     # them again, and the pool forks them all before starting its own
     # threads.
     context = multiprocessing.get_context("fork")
     with ProcessPoolExecutor(shards - 1, mp_context=context) as pool:
         futures = [
-            pool.submit(_advance_shard, source, spin, *rows, tau_targets, cfg)
+            pool.submit(_advance_shard, source, *rows, tau_targets, cfg)
             for rows in slices[1:]
         ]
-        parts = [_advance_shard(source, spin, *slices[0], tau_targets, cfg)]
+        parts = [_advance_shard(source, *slices[0], tau_targets, cfg)]
         parts += [future.result() for future in futures]
     return [
         tuple(np.concatenate(field) for field in zip(*shard_states))
@@ -619,7 +617,7 @@ def _advance_sharded(source, spin, xi, theta, phi, tau_targets, cfg):
 
 def _summarize(tau_target, state, source, config, baseline, seed, bins) -> EnsembleSummary:
     """Compare one propagated state with the density at tau_target."""
-    xf, tf, pf, ok, axis_out, under_out = state
+    xf, tf, ok, axis_out, under_out = state
     count = len(xf)
     expected, exp_over = reference_masses(tau_target, source.eval(tau_target), bins=bins)
     observed, obs_over = histogram_masses(xf[ok], tf[ok], bins=bins)

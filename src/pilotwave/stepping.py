@@ -3,17 +3,18 @@
 One tableau, one trial step and one float PI controller:
 
 * dp5_trial below, one trial step of a state with three slots: two
-  that feed the rates and one carried along (for a trajectory, xi and
-  theta feed dphi and phi is carried).  It is plain arithmetic on
-  whatever it is given, so the scalar loop in engine.py runs it on
+  that feed the rates and one carried along (for a scalar trajectory,
+  xi and theta feed dphi and phi is carried).  It is plain arithmetic
+  on whatever it is given, so the scalar loop in engine.py runs it on
   Python floats, the batched ensemble loop in ensemble.py on numpy
-  arrays with per-trajectory clocks and step sizes, and integrate_array
-  below on a pair of Python complex numbers in the two rate-feeding
-  slots with 0.0 in the carried one.  Every loop reuses an accepted
-  step's last stage as the next step's first (first-same-as-last).
-  The scalar loop samples between its steps with dp5_dense, which
-  builds the step's continuous extension from the stages dp5_trial
-  returns.
+  arrays of (xi, theta) with per-trajectory clocks and step sizes and
+  0.0 in the carried slot (the ensemble does not propagate phi), and
+  integrate_array below on a pair of Python complex numbers in the two
+  rate-feeding slots with 0.0 in the carried one.  Every loop reuses
+  an accepted step's last stage as the next step's first
+  (first-same-as-last).  The scalar loop samples between its steps
+  with dp5_dense, which builds the step's continuous extension from
+  the stages dp5_trial returns.
 * next_step below, the PI step controller on Python floats, shared by
   the scalar loop and integrate_array.  The ensemble's sweep and row
   loop keep their own copy on np.power, which rounds differently from
@@ -22,10 +23,12 @@ One tableau, one trial step and one float PI controller:
   (the amplitude ODE) that lands on given stop times.
 
 All drivers use the same embedded pair, the same RMS error norm (over
-real parts; integrate_array takes the real and imaginary parts) with
-scale atol + rtol*max(|y|, |y_new|), and the same PI step control
-(growth factor safety * err^-0.14 * err_prev^0.08, clipped to
-[0.2, 5], capped at 1 right after a rejection).
+the real parts they propagate: xi, theta and phi in the scalar loop,
+xi and theta in the ensemble, the real and imaginary parts of the pair
+in integrate_array) with scale atol + rtol*max(|y|, |y_new|), and the
+same PI step control (growth factor safety * err^-0.14 *
+err_prev^0.08, clipped to [0.2, 5], capped at 1 right after a
+rejection).
 """
 
 from __future__ import annotations

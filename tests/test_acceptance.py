@@ -19,7 +19,6 @@ is marginal for the same reason (about 2.04x its baseline against the
 
 from __future__ import annotations
 
-import math
 import os
 import subprocess
 import sys

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
 from dataclasses import replace
 
 import numpy as np

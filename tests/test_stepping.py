@@ -28,7 +28,7 @@ from pilotwave import (
     ensemble,
     integrate,
 )
-from pilotwave.dynamics import SPIN_UP, make_batch_rhs, make_row_rhs, make_scalar_rhs
+from pilotwave.dynamics import make_batch_rhs, make_row_rhs, make_scalar_rhs
 from pilotwave.ensemble import SHARD_MIN_ROWS, TAIL_ROWS, _advance_batch, sample_arrays
 from pilotwave.stepping import dense_state, dp5_dense, dp5_trial, integrate_array
 
@@ -176,14 +176,14 @@ def _same(got, want):
 
 
 def _advance(source, cloud, targets, cfg):
-    return _advance_batch(make_batch_rhs(source), make_row_rhs(source), *cloud, targets, cfg)
+    return _advance_batch(make_batch_rhs(source), make_row_rhs(source), *cloud[:2], targets, cfg)
 
 
 def _same_bytes(got, want):
-    # Every target's six arrays, drop-out masks included.
+    # Every target's five arrays, drop-out masks included.
     assert len(got) == len(want)
     for g_state, w_state in zip(got, want):
-        assert len(g_state) == len(w_state) == 6
+        assert len(g_state) == len(w_state) == 5
         for g, w in zip(g_state, w_state):
             assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
 
@@ -223,7 +223,7 @@ def test_batch_rhs_reuses_cross_terms_only_at_equal_times(reference_drive):
         _same(rhs(tau.copy(), xi, theta), make_batch_rhs(source)(tau, xi, theta))
         # A first call with no rows has nothing cached to match.
         empty = make_batch_rhs(source)(np.empty(0), np.empty(0), np.empty(0))
-        assert [k.shape for k in empty] == [(0,)] * 4
+        assert [np.shape(k) for k in empty] == [(0,), (0,), (), (0,)]
 
 
 def test_row_rhs_equals_batch_rhs_bitwise(reference_drive):
@@ -243,11 +243,13 @@ def test_row_rhs_equals_batch_rhs_bitwise(reference_drive):
     n = len(tau)
     for source in _sources(reference_drive):
         batch = make_batch_rhs(source)(tau, xi, theta)
+        rates = (batch[0], batch[1], batch[3])
         row = make_row_rhs(source)
         for i in range(n):
             got = row(float(tau[i]), float(xi[i]), float(theta[i]))
             assert all(type(g) is float for g in got)
-            assert list(got) == [float(k[i]) for k in batch]
+            assert got[2] == batch[2] == 0.0
+            assert [got[0], got[1], got[3]] == [float(k[i]) for k in rates]
 
 
 def _assert_close(got, want, rtol):
@@ -262,24 +264,21 @@ def _assert_close(got, want, rtol):
 def test_scalar_and_batch_drivers_agree(reference_drive, monkeypatch, kind, tail_rows):
     # Eight trajectories to tau = 200 at rtol 1e-8.  The output stride
     # equals the span, so the scalar driver lands only on the end point
-    # and both drivers choose their own steps freely.  Measured: at most
-    # 1.7e-9 (analytic) and 3.3e-9 (frozen) relative to max(|y|, 1).
+    # and both drivers choose their own steps freely.  The batch carries
+    # no phi, so xi and theta are compared.  Measured: at most 4.5e-9
+    # (analytic) and 5.9e-8 (frozen) relative to max(|y|, 1).
     monkeypatch.setattr(ensemble, "TAIL_ROWS", tail_rows)
     source = _source(kind, reference_drive)
     tau = 200.0
     cfg = IntegratorConfig(rel_tol=1e-8, output_stride=tau)
     xi, theta, phi = sample_arrays(8, 5)
-    [(bxi, btheta, bphi, ok, _, _)] = _advance(source, (xi, theta, phi), (tau,), cfg)
+    [(bxi, btheta, ok, _, _)] = _advance(source, (xi, theta, phi), (tau,), cfg)
     assert ok.all()
     for i in range(len(xi)):
         start = SpatialPoint(xi=float(xi[i]), theta=float(theta[i]), phi=float(phi[i]))
         run = integrate(start, tau, source, cfg)
         assert run.tau[-1] == tau
-        _assert_close(
-            (bxi[i], btheta[i], bphi[i]),
-            (run.xi[-1], run.theta[-1], run.phi[-1]),
-            cfg.rel_tol,
-        )
+        _assert_close((bxi[i], btheta[i]), (run.xi[-1], run.theta[-1]), cfg.rel_tol)
 
 
 @pytest.mark.parametrize("kind, tail_rows", KIND_AND_TAIL)
@@ -289,7 +288,7 @@ def test_one_pass_through_targets_matches_separate_runs(
     # Up to the first target one pass is the separate run, bit for bit.
     # Past it the step sequence changes (every row lands on tau = 100),
     # so the later target agrees only to within the drivers' bound.
-    # Measured: 0.11 (analytic) and 0.14 (frozen) of rtol * max(|y|, 1).
+    # Measured: 0.43 (analytic) and 0.15 (frozen) of rtol * max(|y|, 1).
     monkeypatch.setattr(ensemble, "TAIL_ROWS", tail_rows)
     source = _source(kind, reference_drive)
     cfg = IntegratorConfig(rel_tol=1e-8)
@@ -302,39 +301,39 @@ def test_one_pass_through_targets_matches_separate_runs(
     [alone_100] = run((100.0,))
     [alone_200] = run((200.0,))
     _same(at_100, alone_100)
-    assert at_200[3].all() and alone_200[3].all()
-    for got, want in zip(at_200[:3], alone_200[:3]):
+    assert at_200[2].all() and alone_200[2].all()
+    for got, want in zip(at_200[:2], alone_200[:2]):
         _assert_close(got, want, cfg.rel_tol)
 
 
 @pytest.mark.parametrize("kind", ["analytic", "frozen"])
 def test_sharded_states_equal_one_batch_call(reference_drive, monkeypatch, kind):
     # Two CPUs whatever the machine has, and an odd cloud just above two
-    # shards, so the slices are uneven.  min_step = 1e-3 makes a few
-    # rows drop out, so the masks are checked with both values present.
+    # shards, so the slices are uneven.  min_step = 0.05 makes some rows
+    # drop out, so the masks are checked with both values present.
     monkeypatch.setattr(ensemble.os, "sched_getaffinity", lambda pid: {0, 1})
     source = _source(kind, reference_drive)
-    cfg = IntegratorConfig(rel_tol=1e-6, abs_tol=1e-9, min_step=1e-3)
+    cfg = IntegratorConfig(rel_tol=1e-6, abs_tol=1e-9, min_step=0.05)
     cloud = sample_arrays(2 * SHARD_MIN_ROWS + 1, 6)
     targets = (0.0, 20.0, 20.0, 40.0)
     assert ensemble._shard_count(len(cloud[0])) == 2
-    sharded = ensemble._advance_sharded(source, SPIN_UP, *cloud, targets, cfg)
+    sharded = ensemble._advance_sharded(source, *cloud[:2], targets, cfg)
     single = _advance(source, cloud, targets, cfg)
     assert len(single) == len(targets)
     _same_bytes(sharded, single)
-    assert not single[-1][3].all()
+    assert not single[-1][2].all()
 
 
 @pytest.mark.parametrize("kind", ["analytic", "frozen"])
 def test_row_loop_equals_sweep_bitwise(reference_drive, monkeypatch, kind):
     # 64 rows, so that with the default TAIL_ROWS one call runs both the
-    # sweep and the row loop.  min_step = 1e-3 makes rows drop out by
+    # sweep and the row loop.  min_step = 0.05 makes rows drop out by
     # step underflow, and two rows start on the axis.  The row loop
     # alone (TAIL_ROWS above the cloud size) and with the sweep (the
     # default) must give the sweep alone's bytes.
     source = _source(kind, reference_drive)
-    cfg = IntegratorConfig(rel_tol=1e-6, abs_tol=1e-9, min_step=1e-3)
-    xi, theta, phi = sample_arrays(64, 21)
+    cfg = IntegratorConfig(rel_tol=1e-6, abs_tol=1e-9, min_step=0.05)
+    xi, theta, _ = sample_arrays(64, 21)
     theta[[5, 40]] = 1e-7
     targets = (0.0, 20.0, 20.0, 40.0)
     runs = {}
@@ -354,7 +353,7 @@ def test_row_loop_equals_sweep_bitwise(reference_drive, monkeypatch, kind):
             return row_rhs(tau, xi, theta)
 
         runs[tail_rows] = _advance_batch(
-            counted_batch, counted_row, xi, theta, phi, targets, cfg
+            counted_batch, counted_row, xi, theta, targets, cfg
         )
         # Each segment starts with one batch call over the whole cloud;
         # any other batch call is a sweep.
@@ -366,4 +365,82 @@ def test_row_loop_equals_sweep_bitwise(reference_drive, monkeypatch, kind):
             assert set(batch_rows) == {len(xi)}
         _same_bytes(runs[tail_rows], runs[0])
     final = runs[0][-1]
-    assert final[4].sum() == 2 and final[5].any() and final[3].sum() < len(xi) - 2
+    assert final[3].sum() == 2 and final[4].any() and final[2].sum() < len(xi) - 2
+
+
+@pytest.mark.parametrize("kind", ["analytic", "frozen"])
+def test_whole_array_sweep_equals_row_loop_bitwise(reference_drive, monkeypatch, kind):
+    # The cloud and drop-outs of test_row_loop_equals_sweep_bitwise, but
+    # no row starts on the axis: every row is active at first, so the
+    # sweep works on whole arrays until a row lands or drops out, and
+    # gathers rows through an index after that.  Both must give the row
+    # loop's bytes.
+    source = _source(kind, reference_drive)
+    cfg = IntegratorConfig(rel_tol=1e-6, abs_tol=1e-9, min_step=0.05)
+    cloud = sample_arrays(64, 21)
+    targets = (20.0, 40.0)
+    runs = {}
+    calls = {}  # rows of each batch rhs call
+    for tail_rows in (0, 65):
+        monkeypatch.setattr(ensemble, "TAIL_ROWS", tail_rows)
+        batch_rhs = make_batch_rhs(source)
+        batch_rows = calls[tail_rows] = []
+
+        def counted_batch(tau, xi, theta):
+            batch_rows.append(len(xi))
+            return batch_rhs(tau, xi, theta)
+
+        runs[tail_rows] = _advance_batch(
+            counted_batch, make_row_rhs(source), *cloud[:2], targets, cfg
+        )
+    # The first call starts the segment and six calls per sweep follow:
+    # with the sweep alone, the first ten sweeps see every row and later
+    # ones fewer.  The row loop alone calls the batch rhs only to start
+    # each segment.
+    sweeps = calls[0][1:]
+    assert sweeps[:60] == [64] * 60 and min(sweeps) < 64
+    assert calls[65] == [64] * len(targets)
+    _same_bytes(runs[65], runs[0])
+    assert runs[0][-1][4].any()
+
+
+# Each driver against a tight reference, per component, in units of
+# rtol * max(|y|, 1): about twice the worst case measured, which is
+# (xi / theta / phi for the scalar driver, xi / theta for the sweep and
+# the row loop) analytic 0.79 / 0.28 / 0.56 and 0.46 / 0.15, frozen
+# 25.6 / 25.8 / 8.8 and 20.7 / 19.9.
+REFERENCE_BOUND = {"analytic": 2.0, "frozen": 50.0}
+
+
+@pytest.mark.parametrize("kind", ["analytic", "frozen"])
+def test_each_driver_is_close_to_a_tight_reference(reference_drive, monkeypatch, kind):
+    # The cloud of test_scalar_and_batch_drivers_agree.  The scalar
+    # driver, the sweep alone (TAIL_ROWS = 0) and the row loop alone
+    # (TAIL_ROWS above the cloud size) each run at rtol 1e-8 and are
+    # compared with the scalar driver at rtol 1e-13 and abs_tol 1e-15,
+    # so no two of them need to share a step sequence.  (At the default
+    # abs_tol the tight run of row 6 aborts at tau = 0: a trial stage of
+    # its first step crosses the axis.)
+    source = _source(kind, reference_drive)
+    tau = 200.0
+    cfg = IntegratorConfig(rel_tol=1e-8, output_stride=tau)
+    tight = IntegratorConfig(rel_tol=1e-13, abs_tol=1e-15, output_stride=tau)
+    xi, theta, phi = sample_arrays(8, 5)
+    reference, scalar = [], []
+    for i in range(len(xi)):
+        start = SpatialPoint(xi=float(xi[i]), theta=float(theta[i]), phi=float(phi[i]))
+        for ends, run_cfg in ((reference, tight), (scalar, cfg)):
+            run = integrate(start, tau, source, run_cfg)
+            assert run.tau[-1] == tau
+            ends.append((run.xi[-1], run.theta[-1], run.phi[-1]))
+    reference = np.array(reference)
+    drivers = {"scalar": np.array(scalar)}
+    for name, tail_rows in (("sweep", 0), ("row loop", len(xi) + 1)):
+        monkeypatch.setattr(ensemble, "TAIL_ROWS", tail_rows)
+        [(bxi, btheta, ok, _, _)] = _advance(source, (xi, theta), (tau,), cfg)
+        assert ok.all()
+        drivers[name] = np.stack([bxi, btheta], axis=1)
+    for name, got in drivers.items():
+        want = reference[:, : got.shape[1]]
+        bound = REFERENCE_BOUND[kind] * cfg.rel_tol * np.maximum(np.abs(want), 1.0)
+        assert np.all(np.abs(got - want) <= bound), name
