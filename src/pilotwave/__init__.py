@@ -12,7 +12,6 @@ through config files and DriveParameters construction.
 """
 
 from .config import RunConfig, load_config, load_preset, parse_config_text, serialize_config
-from .constants import CODATA, PhysicalConstants
 from .drive import (
     AnalyticSource,
     CoefficientState,
@@ -69,7 +68,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AnalyticSource",
     "AxisProximityError",
-    "CODATA",
     "CoefficientState",
     "ConfigError",
     "DriveParameters",
@@ -82,7 +80,6 @@ __all__ = [
     "NumericSource",
     "OffSheetError",
     "ParameterError",
-    "PhysicalConstants",
     "PilotwaveError",
     "RunConfig",
     "RunManifest",

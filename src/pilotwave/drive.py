@@ -58,7 +58,13 @@ from typing import Optional
 
 import numpy as np
 
-from .constants import CODATA, TWO_PI
+from .constants import (
+    BOHR_RADIUS_M,
+    ELEMENTARY_CHARGE_C,
+    HBAR_JS,
+    OMEGA0_PS,
+    TWO_PI,
+)
 from .errors import ParameterError
 
 # <100| x3 |210> in units of the Bohr radius: 2^7 sqrt(2) / 3^5.
@@ -156,7 +162,7 @@ class DriveParameters:
     @property
     def field_energy_eV(self) -> float:
         """e E0 a in eV; numerically E0 times the Bohr radius."""
-        return self.E0_Vpm * CODATA.bohr_radius_m
+        return self.E0_Vpm * BOHR_RADIUS_M
 
 
 def derive_drive(
@@ -168,7 +174,7 @@ def derive_drive(
 ) -> DriveParameters:
     """Build DriveParameters from a field amplitude and a detuning.
 
-    a, q and hbar are the constants.CODATA values, and so is omega0
+    a, q and hbar are the CODATA values in constants, and so is omega0
     unless omega0_ps replaces it.
 
     Parameters
@@ -205,18 +211,18 @@ def derive_drive(
             stacklevel=2,
         )
 
-    omega0 = CODATA.omega0_ps if omega0_ps is None else float(omega0_ps)
+    omega0 = OMEGA0_PS if omega0_ps is None else float(omega0_ps)
     if not (math.isfinite(omega0) and omega0 > 0.0):
         raise ParameterError("omega0 must be positive, got %r" % (omega0,))
 
     V12_J = (
         -DIPOLE_MATRIX_ELEMENT
-        * CODATA.bohr_radius_m
-        * CODATA.elementary_charge_C
+        * BOHR_RADIUS_M
+        * ELEMENTARY_CHARGE_C
         * E0_Vpm
     )
     if nu_override_ps is None:
-        nu_ps = V12_J / CODATA.hbar_Js
+        nu_ps = V12_J / HBAR_JS
     else:
         # The override is a signed rate; zero switches the coupling off
         # (c_b stays 0) and is legitimate for baseline runs.
@@ -285,7 +291,7 @@ def coefficient_arrays(tau, drive: DriveParameters):
     return c_a, c_b
 
 
-def _sincos(x):
+def _sincos(x, out=None):
     """(sin x, cos x) from one tangent, through numpy.
 
     With t = tan(x/2) and e = 2/(1 + t^2), sin x = t e and cos x = e - 1.
@@ -296,10 +302,19 @@ def _sincos(x):
     only, as is any cos of a rounded angle.  NaN and +-inf give NaN, as
     np.sin does.  A Python float (the row rhs) gives numpy scalars,
     rounded as the same value in an array would be.
+
+    out, a pair of float arrays shaped like x (the first may be x
+    itself, which is then overwritten), takes the same operations in
+    place and receives (sin x, cos x); None allocates.
     """
-    t = np.tan(0.5 * x)
-    e = 2.0 / (1.0 + t * t)
-    return t * e, e - 1.0
+    if out is None:
+        t = np.tan(0.5 * x)
+        e = 2.0 / (1.0 + t * t)
+        return t * e, e - 1.0
+    t, e = out
+    np.tan(np.multiply(0.5, x, out=t), out=t)
+    np.divide(2.0, np.add(1.0, np.multiply(t, t, out=e), out=e), out=e)
+    return np.multiply(t, e, out=t), np.subtract(e, 1.0, out=e)
 
 
 def _closed_form_terms(xp, drive: DriveParameters, rn: float):
@@ -314,12 +329,40 @@ def _closed_form_terms(xp, drive: DriveParameters, rn: float):
     one _sincos call and reduce with np.rint (which rounds as np.round
     does at zero decimals but skips its Python-level wrapper).  Both
     round halves to even, so angles reduce alike.
+
+    The array form takes an optional out, six float arrays shaped like
+    tau (the first may be tau itself, which is then overwritten): the
+    same operations then run in place, in the same order, and the terms
+    come back in four of those arrays.  None allocates, as numpy
+    operators do; a Python float tau (the row rhs) must take that way,
+    since a ufunc call on a scalar costs several times an operator.
     """
     arrays = xp is np
     rint = np.rint if arrays else round
     rO, sigma_t, omega_t = drive.ratio_Omega, drive.sigma_t, drive.omega_t
 
-    def cross(tau):
+    def cross_into(tau, out):
+        b0, b1, b2, b3, b4, b5 = out
+        half = np.multiply(0.5 * sigma_t, tau, out=b1)
+        w = np.multiply(omega_t, tau, out=b0)
+        turns = np.rint(np.divide(w, TWO_PI, out=b2), out=b2)
+        w = np.subtract(w, np.multiply(TWO_PI, turns, out=b2), out=b0)
+        sh, ch = _sincos(half, (b1, b2))
+        sw, cw = _sincos(w, (b0, b3))
+        q = np.multiply(rn, sh, out=b4)
+        rs = np.multiply(rO, sh, out=b1)
+        x = np.multiply(rs, cw, out=b5)
+        y = np.multiply(rs, sw, out=b1)
+        np.add(x, np.multiply(ch, sw, out=b0), out=x)
+        np.subtract(y, np.multiply(ch, cw, out=b3), out=y)
+        tp = np.multiply(np.negative(q, out=b0), x, out=b5)
+        im = np.multiply(q, y, out=b1)
+        cb2 = np.multiply(q, q, out=b4)
+        return np.subtract(1.0, cb2, out=b0), cb2, tp, im
+
+    def cross(tau, out=None):
+        if out is not None:
+            return cross_into(tau, out)
         half = 0.5 * sigma_t * tau
         w = omega_t * tau
         w = w - TWO_PI * rint(w / TWO_PI)
@@ -504,12 +547,24 @@ def _rotated(xp):
 
     tp + i im = m e^(-i tau) = (mr + i mi) e^(-i tau).  xp, the sines and
     cosines and the reduction are as in _closed_form_terms, with the
-    reduced phase tau as the one angle.
+    reduced phase tau as the one angle; so is out, of which the array
+    form uses the first four arrays.  ca2 and cb2 pass through as given.
     """
     arrays = xp is np
     rint = np.rint if arrays else round
 
-    def rotated(ca2, cb2, mr, mi, tau):
+    def rotated_into(ca2, cb2, mr, mi, tau, out):
+        b0, b1, b2, b3 = out[:4]
+        turns = np.rint(np.divide(tau, TWO_PI, out=b1), out=b1)
+        w = np.subtract(tau, np.multiply(TWO_PI, turns, out=b1), out=b0)
+        sw, cw = _sincos(w, (b0, b1))
+        tp = np.add(np.multiply(mr, cw, out=b2), np.multiply(mi, sw, out=b3), out=b2)
+        im = np.subtract(np.multiply(mi, cw, out=b1), np.multiply(mr, sw, out=b0), out=b1)
+        return ca2, cb2, tp, im
+
+    def rotated(ca2, cb2, mr, mi, tau, out=None):
+        if out is not None:
+            return rotated_into(ca2, cb2, mr, mi, tau, out)
         w = tau - TWO_PI * rint(tau / TWO_PI)
         if arrays:
             sw, cw = _sincos(w)
@@ -527,7 +582,9 @@ class AnalyticSource:
     Driven: the semiclassical field is on.  cross_terms(xp) gives
     tau -> (ca2, cb2, tp, im), the amplitude terms of the guidance law:
     ca2 = |c_a|^2, cb2 = |c_b|^2 and tp + i im = c_a* c_b e^(-i tau).
-    xp is math for Python floats or numpy for arrays.
+    xp is math for Python floats or numpy for arrays; the array form
+    also takes tau -> terms in six given work arrays (see
+    _closed_form_terms).
     """
 
     is_driven = True
@@ -556,7 +613,8 @@ class FrozenSource:
     The pair must be normalized: |c1|^2 + |c2|^2 = 1 within 1e-12.  Not
     driven (no field term in the local energy).  cross_terms(xp) gives
     the terms AnalyticSource's does, from the fixed pair turned by the
-    fast phase.
+    fast phase, with the same optional work arrays (see _rotated); ca2
+    and cb2 stay floats.
     """
 
     is_driven = False
@@ -584,7 +642,7 @@ class FrozenSource:
     def cross_terms(self, xp):
         rotated = _rotated(xp)
         terms = _pair_terms(self.c1, self.c2)
-        return lambda tau: rotated(*terms, tau)
+        return lambda tau, out=None: rotated(*terms, tau, out)
 
 
 class NumericSource:

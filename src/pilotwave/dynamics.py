@@ -33,6 +33,13 @@ for bit, for the ensemble's last few rows.  The amplitude terms
 from the coefficient source's own cross_terms(xp), on floats
 (xp = math) or arrays (xp = numpy); see drive.
 
+Stage arguments: make_batch_stages computes the terms of a batch
+trial's five stage times in one pass, as one (ca2, cb2, tp, im) tuple
+per time; dp5_trial passes each tuple to the rhs where it would pass
+the time, and make_batch_rhs reads it as the terms themselves.  The
+rhs is still called six times per trial with the rows second.  The
+scalar and row rhs take times only.
+
 Sines and cosines: the numpy path takes theta's pair from one tangent
 of its half angle, drive._sincos, as the sources' numpy terms do,
 because this numpy's np.sin and np.cos are scalar libm loops while
@@ -76,6 +83,7 @@ from .errors import (
     OffSheetError,
     ParameterError,
 )
+from .stepping import STAGE_C
 from .wavefield import (
     BETA,
     N1,
@@ -309,25 +317,53 @@ def make_batch_rhs(source):
     """Vectorized in-plane analogue of make_scalar_rhs for ensembles.
 
     Returns f(tau, xi, theta) mapping equal-length arrays to
-    (dxi, dtheta, 0.0, rho).  The ensemble carries (xi, theta) and does
-    not propagate phi, so dphi's slot holds 0.0 and no spin is taken
-    (it enters only dphi).  Axis handling is the caller's job (the
-    batch integrator drops trajectories near the axis), so no guard
-    fires here.
+    (dxi, dtheta, 0.0, rho).  tau is an array of times, or a tuple
+    (ca2, cb2, tp, im) of the amplitude terms already evaluated at
+    those times: one of the stage arguments that make_batch_stages
+    gives a trial, which the rates then read as they are.  The ensemble
+    carries (xi, theta) and does not propagate phi, so dphi's slot
+    holds 0.0 and no spin is taken (it enters only dphi).  Axis
+    handling is the caller's job (the batch integrator drops
+    trajectories near the axis), so no guard fires here.
     """
     cross = source.cross_terms(np)
-    # A copy of the last tau and its cross terms.  NaN equals nothing,
-    # so the first call always fills it, whatever its length.
-    last = [np.array(math.nan), None]
 
     def rhs(tau, xi, theta):
-        # A DP5 trial evaluates its last two stages at the same times;
-        # the second evaluation reuses the first one's cross terms.
-        if not np.array_equal(tau, last[0]):
-            last[0], last[1] = np.array(tau), cross(tau)
-        return _numpy_rates(xi, theta, last[1])
+        return _numpy_rates(xi, theta, tau if type(tau) is tuple else cross(tau))
 
     return rhs
+
+
+# STAGE_C as a column, to stack a trial's five stage times as rows.
+_STAGE_COLUMN = np.array(STAGE_C)[:, None]
+
+
+def make_batch_stages(source):
+    """The amplitude terms of a batch trial's five stage times, in one pass.
+
+    Returns f(t, h) mapping a trial's clocks and steps (equal-length
+    arrays) to dp5_trial's five stage arguments: entry i is the tuple
+    (ca2, cb2, tp, im) of source.cross_terms(np) at t + STAGE_C[i] h,
+    bit for bit.  One call over the stacked (5, m) times pays the terms'
+    numpy dispatch once instead of five times.  It computes them in six
+    work arrays that the closure owns and regrows to the most rows seen,
+    so a sweep allocates none of them.  The tuples hold row views of
+    those arrays, which the next call overwrites.  Analytic and frozen
+    sources; the frozen source's ca2 and cb2 stay floats.
+    """
+    cross = source.cross_terms(np)
+    work = []  # six flat arrays of five times the most rows seen
+
+    def stages(t, h):
+        m = len(h)
+        if not work or work[0].size < 5 * m:
+            work[:] = [np.empty(5 * m) for _ in range(6)]
+        out = [w[: 5 * m].reshape(5, m) for w in work]
+        tau = np.add(t, np.multiply(_STAGE_COLUMN, h, out=out[0]), out=out[0])
+        terms = cross(tau, out)
+        return list(zip(*[(x,) * 5 if isinstance(x, float) else x for x in terms]))
+
+    return stages
 
 
 def make_row_rhs(source):

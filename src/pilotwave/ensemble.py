@@ -26,8 +26,8 @@ result is byte-identical for any number of CPUs.  For the same reason a
 sweep may work on whole arrays while every row is still active, and
 gather the active rows through an index once some have finished.
 
-A batch sweep costs a fixed ~0.5 ms of numpy dispatch however few rows
-it steps, and a cloud's last rows to reach a target (those dwelling
+A batch sweep costs a fixed ~0.27 ms of numpy dispatch however few
+rows it steps, and a cloud's last rows to reach a target (those dwelling
 near density nodes) can take hundreds of sweeps on their own.  Once
 fewer than TAIL_ROWS rows are still short of a target, each of them is
 stepped there alone, on Python floats, by a copy of the sweep's step
@@ -46,9 +46,9 @@ from typing import Optional
 
 import numpy as np
 
-from .constants import CODATA
+from .constants import E1_EV, E2_EV
 from .drive import AnalyticSource, CoefficientState, DriveParameters, NumericSource
-from .dynamics import AXIS_GUARD, make_batch_rhs, make_row_rhs
+from .dynamics import AXIS_GUARD, make_batch_rhs, make_batch_stages, make_row_rhs
 from .engine import IntegratorConfig
 from .errors import ParameterError
 from .observables import expected_energy, local_energy_array
@@ -76,17 +76,21 @@ SHARD_MIN_ROWS = 1024
 # Fewest active rows for a batch sweep; below it each remaining row is
 # finished to the segment's target alone (_finish_row), with the same
 # result byte for byte.  A sweep has a fixed numpy dispatch cost: on a
-# 2-core machine (rtol 1e-6, best of 7-15 interleaved runs) a sweep of
-# n rows took 0.455 ms + 0.93 us * n and one row step alone 43 us, so
-# the row loop is the cheaper way up to n = 10 and about even at 11.
-# Both ways take the same steps, so the sweep sizes recorded in a run
-# without the row loop give each threshold's cost of the sweep loop, as
-# a fraction of that run's:
+# 2-core machine (rtol 1e-6, best of 8 runs per size, least squares
+# over sweeps of 12 to 800 rows) a sweep of n rows took
+# 0.265 ms + 0.30 us * n and one row step alone 32 us, so the row loop
+# is the cheaper way up to n = 8 and about even at 9.  Both ways take
+# the same steps, so the sweep sizes recorded in a run without the row
+# loop give each threshold's cost of the sweep loop, as a fraction of
+# that run's:
 #
 #   TAIL_ROWS                            4      8      12     16     24
-#   300 rows to 125/250/500 (seeds       0.873  0.837  0.834  0.836  0.845
-#     11-16, median; 0.644-0.966 at 12)
-#   1000 rows to 2000                    0.745  0.711  0.707  0.708  0.731
+#   300 rows to 125/250/500 (seeds       0.858  0.830  0.830  0.839  0.855
+#     11-16, median; 0.628-0.967 at 12)
+#   1000 rows to 2000                    0.710  0.679  0.683  0.690  0.733
+#
+# Every threshold from 8 to 12 is within 0.6% of the best (9), less
+# than the fit's own error (its residuals reach 7% of a sweep).
 TAIL_ROWS = 12
 
 
@@ -248,6 +252,7 @@ def _tv(observed, obs_over, expected, exp_over) -> float:
 
 def _advance_batch(
     rhs,
+    stages,
     row_rhs,
     xi: np.ndarray,
     theta: np.ndarray,
@@ -264,13 +269,17 @@ def _advance_batch(
     axis_mask, underflow_mask) per target; the coordinate arrays hold
     values only where ok_mask is set, and drop-outs accumulate.
 
-    rhs is a make_batch_rhs closure.  While every row is active, a sweep
-    works on the arrays themselves and stores accepted rows through a
-    mask; after that it gathers the active rows by index and scatters
-    them back, with the same arithmetic per row.  Once fewer than
-    TAIL_ROWS rows of a segment are still short of its target, each of
-    them is finished alone (_finish_row) with row_rhs, a make_row_rhs
-    closure of the same source; the result is the same, byte for byte.
+    rhs is a make_batch_rhs closure and stages a make_batch_stages
+    closure of the same source.  Each sweep's trial takes its five
+    stage arguments from one stages call and makes exactly six rhs
+    calls, with the rows as the second argument.  While every row is
+    active, a sweep works on the arrays themselves and stores accepted
+    rows through a mask; after that it gathers the active rows by index
+    and scatters them back, with the same arithmetic per row.  Once
+    fewer than TAIL_ROWS rows of a segment are still short of its
+    target, each of them is finished alone (_finish_row) with row_rhs,
+    a make_row_rhs closure of the same source; the result is the same,
+    byte for byte.
     """
     n = len(xi)
     t = np.zeros(n)
@@ -347,7 +356,9 @@ def _advance_batch(
                 k1 = (stage1[0][rows], stage1[1][rows], 0.0)
                 # The slice drops the stages at once, so their arrays are
                 # freed before the next trial allocates its own.
-                b0, b1, _, k7, e0, e1 = dp5_trial(rhs, ti, hi, a0, a1, 0.0, k1)[:6]
+                b0, b1, _, k7, e0, e1 = dp5_trial(
+                    rhs, ti, hi, a0, a1, 0.0, k1, stages(ti, hi)
+                )[:6]
                 s0 = atol + rtol * np.maximum(np.abs(a0), np.abs(b0))
                 s1 = atol + rtol * np.maximum(np.abs(a1), np.abs(b1))
                 err = np.sqrt(((e0 / s0) ** 2 + (e1 / s1) ** 2) / 2.0)
@@ -573,12 +584,14 @@ def _shard_count(n: int) -> int:
 def _advance_shard(source, xi, theta, tau_targets, cfg):
     """_advance_batch on one slice of rows, with rhs closures built for it.
 
-    The closures have memos and cannot be pickled, so every process
-    builds its own; the memos reuse only exactly equal values.
+    The closures hold a memo or work arrays and cannot be pickled, so
+    every process builds its own; the memo reuses only exactly equal
+    values.
     """
     rhs = make_batch_rhs(source)
+    stages = make_batch_stages(source)
     row_rhs = make_row_rhs(source)
-    return _advance_batch(rhs, row_rhs, xi, theta, tau_targets, cfg)
+    return _advance_batch(rhs, stages, row_rhs, xi, theta, tau_targets, cfg)
 
 
 def _advance_sharded(source, xi, theta, tau_targets, cfg):
@@ -646,7 +659,7 @@ def _summarize(tau_target, state, source, config, baseline, seed, bins) -> Ensem
     if include_drive is not None:
         exp_e = float(expected_energy(tau_target, include_drive))
     else:
-        exp_e = ca2 * CODATA.E1_eV + cb2 * CODATA.E2_eV
+        exp_e = ca2 * E1_EV + cb2 * E2_EV
 
     return EnsembleSummary(
         count=count,

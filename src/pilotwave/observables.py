@@ -38,7 +38,7 @@ from typing import Optional
 
 import numpy as np
 
-from .constants import CODATA
+from .constants import E1_EV as E1, E2_EV as E2
 from .drive import (
     AnalyticSource,
     CoefficientState,
@@ -79,8 +79,6 @@ def local_energy(
     no field term and a pure eigenstate reports its level energy
     everywhere.  Below RHO_FLOOR the total is the clip sentinel.
     """
-    E1 = CODATA.E1_eV
-    E2 = CODATA.E2_eV
     xi, theta = point.xi, point.theta
     ct = math.cos(theta)
     u1 = N1 * math.exp(-xi)
@@ -140,8 +138,6 @@ def local_energy_array(
     clipped): below rho_floor the energy is the clip sentinel, as in
     local_energy, and carries no field term.
     """
-    E1 = CODATA.E1_eV
-    E2 = CODATA.E2_eV
     ct = np.cos(theta)
     u1 = N1 * np.exp(-xi)
     u2 = N2 * xi * np.exp(-0.5 * xi) * ct
@@ -160,8 +156,6 @@ def local_energy_array(
 
 def expected_energy(tau, drive: DriveParameters):
     """Closed-form <E>(tau) over the driven density; scalar or array."""
-    E1 = CODATA.E1_eV
-    E2 = CODATA.E2_eV
     tau = np.asarray(tau, dtype=float)
     ca2, cb2, tp, _ = AnalyticSource(drive).cross_terms(np)(tau)
     w = reduce_angle(drive.omega_t * tau)
@@ -179,8 +173,6 @@ def reference_energy(tau: float, drive: DriveParameters) -> float:
 
     xg, mg, wx, wm = sphere_rule()
     coeffs = coefficients(tau, drive)
-    E1 = CODATA.E1_eV
-    E2 = CODATA.E2_eV
     u1 = N1 * np.exp(-xg)
     u2 = N2 * xg * np.exp(-0.5 * xg) * mg
     ca, cb = coeffs.c_a, coeffs.c_b

@@ -10,7 +10,10 @@ One tableau, one trial step and one float PI controller:
   arrays of (xi, theta) with per-trajectory clocks and step sizes and
   0.0 in the carried slot (the ensemble does not propagate phi), and
   integrate_array below on a pair of Python complex numbers in the two
-  rate-feeding slots with 0.0 in the carried one.  Every loop reuses
+  rate-feeding slots with 0.0 in the carried one.  The rhs's first
+  argument is each stage's time, except in the ensemble's sweep, which
+  passes stage arguments instead: the amplitude terms at the five
+  stage times, computed in one pass (see dp5_trial).  Every loop reuses
   an accepted step's last stage as the next step's first
   (first-same-as-last).  The scalar loop samples between its steps
   with dp5_dense, which builds the step's continuous extension from
@@ -108,7 +111,12 @@ PI_ALPHA = 0.7 / 5.0
 PI_BETA = 0.4 / 5.0
 
 
-def dp5_trial(rhs, t, h, xi, theta, phi, k1):
+# The stage times of a trial are t + c h for c in STAGE_C: stages 2 to
+# 6 in order, and stage 7 at stage 6's time.
+STAGE_C = (C2, C3, C4, C5, 1.0)
+
+
+def dp5_trial(rhs, t, h, xi, theta, phi, k1, stage_args=None):
     """One Dormand-Prince 5(4) trial step of a trajectory.
 
     rhs(t, xi, theta) returns (dxi, dtheta, dphi) and possibly more,
@@ -118,32 +126,43 @@ def dp5_trial(rhs, t, h, xi, theta, phi, k1):
     step is written once, in one operation order, for both.  A state
     with fewer parts passes constant zeros in the unused slots.
 
+    stage_args, if given, replaces the stage times as rhs's first
+    argument: five values, one per time t + c h for c in STAGE_C, of
+    which stages 6 and 7 both take the last.  The batch sweep passes
+    the amplitude terms at those times, computed in one pass over all
+    five (dynamics.make_batch_stages); its rhs reads them in place of
+    the times.  None passes the times themselves, as the scalar loop
+    and integrate_array do.
+
     Returns (xi_new, theta_new, phi_new, k7, e_xi, e_theta, e_phi,
     stages): the fifth-order state, rhs evaluated there (stage 1 of the
     next step under first-same-as-last), the embedded error of each
     component, and the stages (k1, k3, k4, k5, k6, k7) that dp5_dense
     needs.  The last two stages are evaluated at one shared time
-    object, t + h.
+    object, t + h (or the last of stage_args).
     """
-    k2 = rhs(t + C2 * h, xi + h * (A21 * k1[0]), theta + h * (A21 * k1[1]))
+    if stage_args is None:
+        s2, s3, s4, s5, s6 = t + C2 * h, t + C3 * h, t + C4 * h, t + C5 * h, t + h
+    else:
+        s2, s3, s4, s5, s6 = stage_args
+    k2 = rhs(s2, xi + h * (A21 * k1[0]), theta + h * (A21 * k1[1]))
     k3 = rhs(
-        t + C3 * h,
+        s3,
         xi + h * (A31 * k1[0] + A32 * k2[0]),
         theta + h * (A31 * k1[1] + A32 * k2[1]),
     )
     k4 = rhs(
-        t + C4 * h,
+        s4,
         xi + h * (A41 * k1[0] + A42 * k2[0] + A43 * k3[0]),
         theta + h * (A41 * k1[1] + A42 * k2[1] + A43 * k3[1]),
     )
     k5 = rhs(
-        t + C5 * h,
+        s5,
         xi + h * (A51 * k1[0] + A52 * k2[0] + A53 * k3[0] + A54 * k4[0]),
         theta + h * (A51 * k1[1] + A52 * k2[1] + A53 * k3[1] + A54 * k4[1]),
     )
-    t_new = t + h
     k6 = rhs(
-        t_new,
+        s6,
         xi + h * (A61 * k1[0] + A62 * k2[0] + A63 * k3[0] + A64 * k4[0] + A65 * k5[0]),
         theta
         + h * (A61 * k1[1] + A62 * k2[1] + A63 * k3[1] + A64 * k4[1] + A65 * k5[1]),
@@ -153,7 +172,7 @@ def dp5_trial(rhs, t, h, xi, theta, phi, k1):
         B1 * k1[1] + B3 * k3[1] + B4 * k4[1] + B5 * k5[1] + B6 * k6[1]
     )
     phi_new = phi + h * (B1 * k1[2] + B3 * k3[2] + B4 * k4[2] + B5 * k5[2] + B6 * k6[2])
-    k7 = rhs(t_new, xi_new, theta_new)
+    k7 = rhs(s6, xi_new, theta_new)
     e_xi = h * (
         E1 * k1[0] + E3 * k3[0] + E4 * k4[0] + E5 * k5[0] + E6 * k6[0] + E7 * k7[0]
     )

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import CODATA, TWO_PI
+from .constants import E1_EV, TWO_PI
 from .drive import CoefficientState, reduce_angle
 from .errors import NodeProximityError, ParameterError
 
@@ -219,7 +219,7 @@ def quantum_potential(
     d2t = (rtp - 2.0 * r0 + rtm) / (h * h)
     d1t = (rtp - rtm) / (2.0 * h)
     lap = d2x + 2.0 * d1x / xi + (d2t + d1t / math.tan(th)) / (xi * xi)
-    return CODATA.E1_eV * lap / r0
+    return E1_EV * lap / r0
 
 
 def check_count(name: str, n) -> None:

@@ -22,7 +22,7 @@ from pilotwave import (
     local_energy,
     expected_energy,
 )
-from pilotwave.constants import CODATA
+from pilotwave.constants import E1_EV
 from pilotwave.drive import envelope_Tprime, transition_probability
 from pilotwave.observables import (
     ENERGY_CLIP_EV,
@@ -30,7 +30,6 @@ from pilotwave.observables import (
     reference_energy,
 )
 
-E1_EV = CODATA.E1_eV
 
 GROUND = CoefficientState(c_a=1.0 + 0.0j, c_b=0.0 + 0.0j, tau=0.0)
 UPPER = CoefficientState(c_a=0.0 + 0.0j, c_b=1.0 + 0.0j, tau=0.0)

@@ -28,9 +28,14 @@ from pilotwave import (
     ensemble,
     integrate,
 )
-from pilotwave.dynamics import make_batch_rhs, make_row_rhs, make_scalar_rhs
+from pilotwave.dynamics import (
+    make_batch_rhs,
+    make_batch_stages,
+    make_row_rhs,
+    make_scalar_rhs,
+)
 from pilotwave.ensemble import SHARD_MIN_ROWS, TAIL_ROWS, _advance_batch, sample_arrays
-from pilotwave.stepping import dense_state, dp5_dense, dp5_trial, integrate_array
+from pilotwave.stepping import STAGE_C, dense_state, dp5_dense, dp5_trial, integrate_array
 
 
 def _arith_rhs(t, x, y):
@@ -176,7 +181,14 @@ def _same(got, want):
 
 
 def _advance(source, cloud, targets, cfg):
-    return _advance_batch(make_batch_rhs(source), make_row_rhs(source), *cloud[:2], targets, cfg)
+    return _advance_batch(
+        make_batch_rhs(source),
+        make_batch_stages(source),
+        make_row_rhs(source),
+        *cloud[:2],
+        targets,
+        cfg,
+    )
 
 
 def _same_bytes(got, want):
@@ -224,6 +236,94 @@ def test_batch_rhs_reuses_cross_terms_only_at_equal_times(reference_drive):
         # A first call with no rows has nothing cached to match.
         empty = make_batch_rhs(source)(np.empty(0), np.empty(0), np.empty(0))
         assert [np.shape(k) for k in empty] == [(0,), (0,), (), (0,)]
+
+
+def _trial_bytes(trial):
+    # Every array of a dp5_trial result: state, errors and the stages
+    # k1, k3, ..., k7 that dense output reads (k7 among them).
+    xi_new, theta_new, phi_new, _, e_xi, e_theta, e_phi, stages = trial
+    arrays = [xi_new, theta_new, phi_new, e_xi, e_theta, e_phi]
+    arrays += [a for k in stages for a in k]
+    return [np.asarray(a).tobytes() for a in arrays]
+
+
+@pytest.mark.parametrize("kind", ["analytic", "frozen"])
+def test_stage_table_rows_equal_cross_terms_bitwise(reference_drive, kind):
+    # Row i of one stacked pass is the source's own array terms at
+    # t + STAGE_C[i] h, over times up to 2e4, where the fast phase's
+    # reduction is largest.
+    source = _source(kind, reference_drive)
+    rng = np.random.default_rng(11)
+    t = rng.uniform(0.0, 2e4, 3000)
+    h = rng.uniform(1e-6, 2.0, 3000)
+    cross = source.cross_terms(np)
+    table = make_batch_stages(source)(t, h)
+    assert len(table) == len(STAGE_C) == 5
+    for c, row in zip(STAGE_C, table):
+        want = cross(t + c * h)
+        assert len(row) == len(want) == 4
+        for got, w in zip(row, want):
+            assert type(got) is type(w)
+            assert np.asarray(got).tobytes() == np.asarray(w).tobytes()
+
+
+@pytest.mark.parametrize("kind", ["analytic", "frozen"])
+def test_trial_on_stage_arguments_equals_trial_on_times_bitwise(reference_drive, kind):
+    # The sweep's trial, on whole rows and on gathered ones (a smaller
+    # call after a larger one, so the work arrays are reused).
+    source = _source(kind, reference_drive)
+    rng = np.random.default_rng(12)
+    xi, theta, _ = sample_arrays(64, 9)
+    t = rng.uniform(0.0, 3000.0, 64)
+    h = rng.uniform(0.01, 1.0, 64)
+    rhs = make_batch_rhs(source)
+    stages = make_batch_stages(source)
+    gathered = np.nonzero(rng.random(64) < 0.5)[0]
+    for rows in (slice(None), gathered):
+        ti, hi, a0, a1 = t[rows], h[rows], xi[rows], theta[rows]
+        k1 = rhs(ti, a0, a1)
+        on_times = dp5_trial(rhs, ti, hi, a0, a1, 0.0, k1)
+        on_stages = dp5_trial(rhs, ti, hi, a0, a1, 0.0, k1, stages(ti, hi))
+        assert _trial_bytes(on_stages) == _trial_bytes(on_times)
+
+
+@pytest.mark.parametrize("kind", ["analytic", "frozen"])
+def test_stage_work_arrays_grow_with_the_row_count(reference_drive, kind):
+    # A call with more rows than any before gets new work arrays; one
+    # with fewer reuses them.  Each gives the source's terms.
+    source = _source(kind, reference_drive)
+    rng = np.random.default_rng(13)
+    t = rng.uniform(0.0, 500.0, 200)
+    h = rng.uniform(0.01, 1.0, 200)
+    stages = make_batch_stages(source)
+    cross = source.cross_terms(np)
+    tables = {}
+    for m in (8, 200, 16):
+        tables[m] = stages(t[:m], h[:m])
+        for c, row in zip(STAGE_C, tables[m]):
+            for got, want in zip(row, cross(t[:m] + c * h[:m])):
+                assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+    tp = {m: table[0][2] for m, table in tables.items()}
+    assert tp[8].shape == (8,) and tp[200].shape == (200,) and tp[16].shape == (16,)
+    assert not np.shares_memory(tp[8], tp[200])
+    assert np.shares_memory(tp[16], tp[200])
+
+
+@pytest.mark.parametrize("kind", ["analytic", "frozen"])
+def test_later_trial_leaves_earlier_stages_unchanged(reference_drive, kind):
+    # The stage arguments are views of work arrays that the next trial
+    # overwrites; the rates, states and errors a trial returns are its own.
+    source = _source(kind, reference_drive)
+    xi, theta, _ = sample_arrays(32, 10)
+    t = np.linspace(100.0, 140.0, 32)
+    h = np.full(32, 0.4)
+    rhs = make_batch_rhs(source)
+    stages = make_batch_stages(source)
+    first = dp5_trial(rhs, t, h, xi, theta, 0.0, rhs(t, xi, theta), stages(t, h))
+    before = _trial_bytes(first)
+    t2 = t + 7.0
+    dp5_trial(rhs, t2, h, xi, theta, 0.0, rhs(t2, xi, theta), stages(t2, h))
+    assert _trial_bytes(first) == before
 
 
 def test_row_rhs_equals_batch_rhs_bitwise(reference_drive):
@@ -353,7 +453,7 @@ def test_row_loop_equals_sweep_bitwise(reference_drive, monkeypatch, kind):
             return row_rhs(tau, xi, theta)
 
         runs[tail_rows] = _advance_batch(
-            counted_batch, counted_row, xi, theta, targets, cfg
+            counted_batch, make_batch_stages(source), counted_row, xi, theta, targets, cfg
         )
         # Each segment starts with one batch call over the whole cloud;
         # any other batch call is a sweep.
@@ -391,7 +491,12 @@ def test_whole_array_sweep_equals_row_loop_bitwise(reference_drive, monkeypatch,
             return batch_rhs(tau, xi, theta)
 
         runs[tail_rows] = _advance_batch(
-            counted_batch, make_row_rhs(source), *cloud[:2], targets, cfg
+            counted_batch,
+            make_batch_stages(source),
+            make_row_rhs(source),
+            *cloud[:2],
+            targets,
+            cfg,
         )
     # The first call starts the segment and six calls per sweep follow:
     # with the sweep alone, the first ten sweeps see every row and later

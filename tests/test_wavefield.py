@@ -27,7 +27,7 @@ from pilotwave import (
     eval_wave,
     quantum_potential,
 )
-from pilotwave.constants import CODATA
+from pilotwave.constants import E1_EV
 from pilotwave.wavefield import (
     BETA,
     N1,
@@ -38,7 +38,6 @@ from pilotwave.wavefield import (
     normalization_quadrature,
 )
 
-E1_EV = CODATA.E1_eV
 
 GROUND = CoefficientState(c_a=1.0 + 0.0j, c_b=0.0 + 0.0j, tau=0.0)
 UPPER = CoefficientState(c_a=0.0 + 0.0j, c_b=1.0 + 0.0j, tau=0.0)
