@@ -37,8 +37,11 @@ Stage arguments: make_batch_stages computes the terms of a batch
 trial's five stage times in one pass, as one (ca2, cb2, tp, im) tuple
 per time; dp5_trial passes each tuple to the rhs where it would pass
 the time, and make_batch_rhs reads it as the terms themselves.  The
-rhs is still called six times per trial with the rows second.  The
-scalar and row rhs take times only.
+ensemble's sweep appends to each tuple an output slot, work arrays
+that _numpy_rates writes that call's rates into, so stages 6 and 7,
+which share a time, get tuples of their own.  The rhs is still called
+six times per trial with the rows second.  The scalar and row rhs take
+times only.
 
 Sines and cosines: the numpy path takes theta's pair from one tangent
 of its half angle, drive._sincos, as the sources' numpy terms do,
@@ -292,14 +295,21 @@ def guidance_current(xi, sn, ct, ca2, cb2, tp, im, sz):
     return fi * (u2x + u2), fi * u2t, j_phi, rho
 
 
-def _numpy_rates(xi, theta, terms):
+def _numpy_rates(xi, theta, ca2, cb2, tp, im, out=None):
     """(dxi, dtheta, 0.0, rho) through numpy from the cross terms at tau.
 
     guidance_current's in-plane lines in its operation order, with
     theta's sine and cosine from one _sincos call; 0.0 fills the slot
     of dphi, which is not computed.
+
+    out, eight float arrays shaped like xi (none of them xi or theta),
+    takes the same operations in place: dxi and dtheta come back in the
+    first two and rho in the third, and the other five are scratch.  So
+    the stages of a trial can keep their rates apart in their own first
+    pairs and share the other six arrays, rho included.  None allocates.
     """
-    ca2, cb2, tp, im = terms
+    if out is not None:
+        return _numpy_rates_into(xi, theta, ca2, cb2, tp, im, out)
     sn, ct = _sincos(theta)
     ex1 = np.exp(-xi)
     exh = np.exp(-0.5 * xi)
@@ -313,6 +323,32 @@ def _numpy_rates(xi, theta, terms):
     return fi * (u2x + u2) / rho, fi * u2t / (xi * xi * rho), 0.0, rho
 
 
+def _numpy_rates_into(xi, theta, ca2, cb2, tp, im, out):
+    """_numpy_rates with out: every line above as ufunc calls, in place."""
+    dxi, dtheta, rho, w0, w1, w2, w3, w4 = out
+    # Local names: a sweep makes this call six times.
+    multiply, add, exp = np.multiply, np.add, np.exp
+    sn, ct = _sincos(theta, (dxi, dtheta))
+    u1 = exp(np.negative(xi, out=w0), out=w0)
+    exh = exp(multiply(-0.5, xi, out=w1), out=w1)
+    multiply(N1, u1, out=u1)
+    b = multiply(multiply(N2, xi, out=w2), exh, out=w2)
+    u2 = multiply(b, ct, out=w3)
+    u2x = np.subtract(1.0, multiply(0.5, xi, out=w4), out=w4)
+    multiply(multiply(multiply(N2, u2x, out=u2x), exh, out=u2x), ct, out=u2x)
+    u2t = multiply(np.negative(b, out=b), sn, out=b)
+    # rho's three products in w1, summed left to right into rho.
+    multiply(multiply(ca2, u1, out=rho), u1, out=rho)
+    add(rho, multiply(multiply(cb2, u2, out=w1), u2, out=w1), out=rho)
+    multiply(multiply(2.0, u1, out=w1), u2, out=w1)
+    add(rho, multiply(w1, tp, out=w1), out=rho)
+    fi = multiply(multiply(VELOCITY_SCALE, im, out=w1), u1, out=w1)
+    np.divide(multiply(fi, add(u2x, u2, out=u2x), out=dxi), rho, out=dxi)
+    xxr = multiply(multiply(xi, xi, out=w0), rho, out=w0)
+    np.divide(multiply(fi, u2t, out=dtheta), xxr, out=dtheta)
+    return dxi, dtheta, 0.0, rho
+
+
 def make_batch_rhs(source):
     """Vectorized in-plane analogue of make_scalar_rhs for ensembles.
 
@@ -320,7 +356,9 @@ def make_batch_rhs(source):
     (dxi, dtheta, 0.0, rho).  tau is an array of times, or a tuple
     (ca2, cb2, tp, im) of the amplitude terms already evaluated at
     those times: one of the stage arguments that make_batch_stages
-    gives a trial, which the rates then read as they are.  The ensemble
+    gives a trial, which the rates then read as they are.  A fifth
+    entry, if present, is _numpy_rates's out: the rates are then
+    written there instead of into new arrays.  The ensemble
     carries (xi, theta) and does not propagate phi, so dphi's slot
     holds 0.0 and no spin is taken (it enters only dphi).  Axis
     handling is the caller's job (the batch integrator drops
@@ -329,7 +367,7 @@ def make_batch_rhs(source):
     cross = source.cross_terms(np)
 
     def rhs(tau, xi, theta):
-        return _numpy_rates(xi, theta, tau if type(tau) is tuple else cross(tau))
+        return _numpy_rates(xi, theta, *(tau if type(tau) is tuple else cross(tau)))
 
     return rhs
 
@@ -381,7 +419,7 @@ def make_row_rhs(source):
     def rhs(tau, xi, theta):
         if tau != last[0]:
             last[0], last[1] = tau, cross(tau)
-        dxi, dtheta, _, rho = _numpy_rates(xi, theta, last[1])
+        dxi, dtheta, _, rho = _numpy_rates(xi, theta, *last[1])
         return float(dxi), float(dtheta), 0.0, float(rho)
 
     return rhs

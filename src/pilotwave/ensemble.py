@@ -26,7 +26,7 @@ result is byte-identical for any number of CPUs.  For the same reason a
 sweep may work on whole arrays while every row is still active, and
 gather the active rows through an index once some have finished.
 
-A batch sweep costs a fixed ~0.27 ms of numpy dispatch however few
+A batch sweep costs a fixed ~0.23 ms of numpy dispatch however few
 rows it steps, and a cloud's last rows to reach a target (those dwelling
 near density nodes) can take hundreds of sweeps on their own.  Once
 fewer than TAIL_ROWS rows are still short of a target, each of them is
@@ -78,19 +78,19 @@ SHARD_MIN_ROWS = 1024
 # result byte for byte.  A sweep has a fixed numpy dispatch cost: on a
 # 2-core machine (rtol 1e-6, best of 8 runs per size, least squares
 # over sweeps of 12 to 800 rows) a sweep of n rows took
-# 0.265 ms + 0.30 us * n and one row step alone 32 us, so the row loop
-# is the cheaper way up to n = 8 and about even at 9.  Both ways take
+# 0.232 ms + 0.216 us * n and one row step alone 30 us, so the row loop
+# is the cheaper way up to n = 7 and about even at 8.  Both ways take
 # the same steps, so the sweep sizes recorded in a run without the row
 # loop give each threshold's cost of the sweep loop, as a fraction of
 # that run's:
 #
 #   TAIL_ROWS                            4      8      12     16     24
-#   300 rows to 125/250/500 (seeds       0.858  0.830  0.830  0.839  0.855
-#     11-16, median; 0.628-0.967 at 12)
-#   1000 rows to 2000                    0.710  0.679  0.683  0.690  0.733
+#   300 rows to 125/250/500 (seeds       0.856  0.831  0.833  0.843  0.862
+#     11-16, median; 0.625-0.970 at 12)
+#   1000 rows to 2000                    0.703  0.673  0.680  0.689  0.739
 #
-# Every threshold from 8 to 12 is within 0.6% of the best (9), less
-# than the fit's own error (its residuals reach 7% of a sweep).
+# Every threshold from 8 to 12 is within 0.7% of the best (8), less
+# than the fit's own error (its residuals reach 4% of a sweep).
 TAIL_ROWS = 12
 
 
@@ -270,16 +270,19 @@ def _advance_batch(
     values only where ok_mask is set, and drop-outs accumulate.
 
     rhs is a make_batch_rhs closure and stages a make_batch_stages
-    closure of the same source.  Each sweep's trial takes its five
-    stage arguments from one stages call and makes exactly six rhs
-    calls, with the rows as the second argument.  While every row is
+    closure of the same source.  Each sweep's trial takes its stage
+    arguments from one stages call and makes exactly six rhs calls,
+    with the rows as the second argument; each call's argument carries
+    the output slot its rates are written into.  While every row is
     active, a sweep works on the arrays themselves and stores accepted
     rows through a mask; after that it gathers the active rows by index
-    and scatters them back, with the same arithmetic per row.  Once
-    fewer than TAIL_ROWS rows of a segment are still short of its
-    target, each of them is finished alone (_finish_row) with row_rhs,
-    a make_row_rhs closure of the same source; the result is the same,
-    byte for byte.
+    and scatters them back, with the same arithmetic per row.  Every
+    per-row array a sweep computes, apart from the gathered rows' index,
+    is written into work arrays allocated here once, at the cloud's row
+    count (_SweepWork); a gathered sweep uses their first entries.  Once fewer than TAIL_ROWS rows of a segment are
+    still short of its target, each of them is finished alone
+    (_finish_row) with row_rhs, a make_row_rhs closure of the same
+    source; the result is the same, byte for byte.
     """
     n = len(xi)
     t = np.zeros(n)
@@ -291,8 +294,10 @@ def _advance_batch(
     alive = np.ones(n, dtype=bool)
     axis_out = np.zeros(n, dtype=bool)
     under_out = np.zeros(n, dtype=bool)
+    active = np.empty(n, dtype=bool)
     rtol = cfg.rel_tol
     atol = cfg.abs_tol
+    work = _SweepWork(n)
 
     # Drop anything already hugging the axis.
     bad = np.sin(y1) < AXIS_GUARD
@@ -314,95 +319,165 @@ def _advance_batch(
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             stage1 = list(rhs(t, y0, y1)[:2])
 
-        active = alive & (t < tau_target)
-        while active.any():
-            idx = np.nonzero(active)[0]
-            if idx.size < TAIL_ROWS:
+        while True:
+            np.logical_and(alive, np.less(t, tau_target, out=active), out=active)
+            m = int(np.count_nonzero(active))
+            if m < TAIL_ROWS or m == 0:
                 with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                    for i in idx.tolist():
+                    for i in np.flatnonzero(active).tolist():
                         _finish_row(
                             row_rhs, i, tau_target, cfg,
                             t, (y0, y1), h, err_prev, just_rej, stage1, alive, under_out,
                         )
                 break
-            # Basic slicing gives views, so a sweep over every row
-            # gathers nothing.
-            whole = idx.size == n
-            rows = slice(None) if whole else idx
-            ti = t[rows]
-            hi = np.minimum(h[rows], cfg.max_step)
-            rem = tau_target - ti
-            hits = hi >= rem
-            hi = np.where(hits, rem, hi)
+            w = work.views(m)
+            trial = w.trial
+            # While every row is active the sweep reads the state arrays
+            # themselves and gathers nothing.
+            whole = m == n
+            if whole:
+                ti, a0, a1, ep, k1x, k1t, jr = t, y0, y1, err_prev, *stage1, just_rej
+                hi = np.minimum(h, cfg.max_step, out=w.hi)
+            else:
+                idx = np.flatnonzero(active)
+                gathered = zip((t, y0, y1, err_prev, *stage1, just_rej), w.gathered)
+                # mode="clip" skips the copy that "raise" makes when given
+                # out; idx holds only valid rows.
+                ti, a0, a1, ep, k1x, k1t, jr = [
+                    np.take(a, idx, out=g, mode="clip") for a, g in gathered
+                ]
+                hi = np.take(h, idx, out=w.hi, mode="clip")
+                np.minimum(hi, cfg.max_step, out=hi)
+            rem = np.subtract(tau_target, ti, out=w.rem)
+            hits = np.greater_equal(hi, rem, out=w.hits)
+            np.copyto(hi, rem, where=hits)
 
-            under = hi < cfg.min_step
+            under = np.less(hi, cfg.min_step, out=w.mask)
             if under.any():
                 # These rows drop out; the others start the sweep again
                 # with the same clocks and steps.
-                sel = idx[under]
+                sel = np.flatnonzero(under) if whole else idx[under]
                 under_out[sel] = True
                 alive[sel] = False
-                active = alive & (t < tau_target)
                 continue
-
-            a0 = y0[rows]
-            a1 = y1[rows]
 
             # A trial stage can momentarily leave the valid region (xi <= 0,
             # axis crossing, node); the resulting inf/nan is caught by the
             # error norm and the step is retried smaller, so the transient
             # warnings carry no information.
             with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                k1 = (stage1[0][rows], stage1[1][rows], 0.0)
-                # The slice drops the stages at once, so their arrays are
-                # freed before the next trial allocates its own.
+                # Stages 6 and 7 share their terms but not their slots.
+                terms = stages(ti, hi)
+                args = [(*terms[min(i, 4)], slot) for i, slot in enumerate(w.slots)]
                 b0, b1, _, k7, e0, e1 = dp5_trial(
-                    rhs, ti, hi, a0, a1, 0.0, k1, stages(ti, hi)
+                    rhs, ti, hi, a0, a1, 0.0, (k1x, k1t, 0.0), args, trial
                 )[:6]
-                s0 = atol + rtol * np.maximum(np.abs(a0), np.abs(b0))
-                s1 = atol + rtol * np.maximum(np.abs(a1), np.abs(b1))
-                err = np.sqrt(((e0 / s0) ** 2 + (e1 / s1) ** 2) / 2.0)
+                # The trial's stage state and scratch arrays are free now.
+                q0, q1, g, f = trial[0], trial[1], trial[6], trial[7]
+                # err = sqrt(((e0 / s0)^2 + (e1 / s1)^2) / 2) with the
+                # scales s = atol + rtol * max(|a|, |b|).
+                for q, a, b, e in ((q0, a0, b0, e0), (q1, a1, b1, e1)):
+                    s = np.maximum(np.abs(a, out=q), np.abs(b, out=g), out=q)
+                    np.add(atol, np.multiply(rtol, s, out=s), out=s)
+                    np.square(np.divide(e, s, out=q), out=q)
+                err = np.sqrt(np.divide(np.add(q0, q1, out=q0), 2.0, out=q0), out=w.err)
                 # A trial state past the axis puts 1/sin(theta) on the wrong
-                # sheet, so its last stage and error mean nothing.
-                axis_hit = ~(np.sin(b1) >= AXIS_GUARD)
-            err = np.where(np.isfinite(err), err, np.inf)
-            err = np.where(axis_hit, np.inf, err)
-            accept = err <= 1.0
+                # sheet, so its last stage and error mean nothing.  On
+                # [1e-3, 3.14] sin exceeds 9e-4, far above AXIS_GUARD, so
+                # np.sin (a scalar libm loop, dearer than the rest of the
+                # norm) runs only on the rows outside, NaN among them.
+                ok = np.greater_equal(b1, 1e-3, out=w.ok)
+                np.logical_and(ok, np.less_equal(b1, 3.14, out=w.mask), out=ok)
+                near = np.flatnonzero(np.logical_not(ok, out=w.failed))
+                if near.size:
+                    ok[near] = np.sin(b1[near]) >= AXIS_GUARD
+                np.logical_and(ok, np.isfinite(err, out=w.mask), out=ok)
+            failed = np.logical_not(ok, out=w.failed)
+            np.copyto(err, np.inf, where=failed)
+            accept = np.less_equal(err, 1.0, out=w.accept)
 
             # The step factor of every row, accepted (PI) or rejected (I
             # alone, or a halving).  Flooring the error first keeps
             # 0 ** -alpha from warning; no rejected error is below 1.
-            grow = SAFETY * np.maximum(err, 1e-300) ** (-PI_ALPHA)
-            fac = np.where(err == 0.0, MAX_FACTOR, grow * err_prev[rows] ** PI_BETA)
-            fac = np.clip(fac, MIN_FACTOR, MAX_FACTOR)
-            fac = np.where(just_rej[rows], np.minimum(fac, 1.0), fac)
-            shrink = np.where(np.isfinite(err), np.maximum(MIN_FACTOR, grow), 0.5)
-            h[rows] = hi * np.where(accept, fac, shrink)
-            just_rej[rows] = ~accept
+            grow = np.power(np.maximum(err, 1e-300, out=g), -PI_ALPHA, out=g)
+            np.multiply(SAFETY, grow, out=grow)
+            fac = np.multiply(grow, np.power(ep, PI_BETA, out=f), out=f)
+            np.copyto(fac, MAX_FACTOR, where=np.equal(err, 0.0, out=w.mask))
+            np.clip(fac, MIN_FACTOR, MAX_FACTOR, out=fac)
+            np.minimum(fac, 1.0, out=fac, where=jr)
+            # The factor of each row, the rejected ones' shrink in place.
+            shrink = np.maximum(MIN_FACTOR, grow, out=grow)
+            np.copyto(shrink, 0.5, where=failed)
+            np.copyto(shrink, fac, where=accept)
             # Repeated axis failures shrink h below min_step and the
             # trajectory is then dropped on a later sweep.
 
-            # What an accepted row takes on.
+            # What an accepted row takes on: the clock, the state, the
+            # controller memory and stage 1 of its next trial.
+            t_new = np.add(ti, hi, out=rem)
+            np.copyto(t_new, tau_target, where=hits)
             updates = (
-                (t, np.where(hits, tau_target, ti + hi)),
-                (y0, b0),
-                (y1, b1),
-                (err_prev, np.maximum(err, 1e-4)),
-                *zip(stage1, k7),
+                (t, ti, t_new),
+                (y0, a0, b0),
+                (y1, a1, b1),
+                (err_prev, ep, np.maximum(err, 1e-4, out=err)),
+                (stage1[0], k1x, k7[0]),
+                (stage1[1], k1t, k7[1]),
             )
             if whole:
-                for a, new in updates:
+                np.multiply(hi, shrink, out=h)
+                np.logical_not(accept, out=just_rej)
+                for a, _, new in updates:
                     np.copyto(a, new, where=accept)
             else:
-                acc_idx = idx[accept]
-                for a, new in updates:
-                    a[acc_idx] = new[accept]
-
-            active = alive & (t < tau_target)
+                h[idx] = np.multiply(hi, shrink, out=shrink)
+                just_rej[idx] = np.logical_not(accept, out=jr)
+                # Rejected rows write their own gathered values back.
+                for a, old, new in updates:
+                    np.copyto(old, new, where=accept)
+                    a[idx] = old
 
         ok = alive & ~axis_out & ~under_out
         states.append((y0.copy(), y1.copy(), ok, axis_out.copy(), under_out.copy()))
     return states
+
+
+class _SweepWork:
+    """The work arrays of _advance_batch's sweeps, for up to n rows.
+
+    Two blocks, float and bool, with one row per work array, allocated
+    once.  views(m) gives the first m entries of every array, named as
+    the sweep uses them, and keeps them while m repeats:
+
+    * trial: dp5_trial's eight work arrays;
+    * slots: the six rhs calls' output slots for _numpy_rates, each a
+      pair of its own followed by six arrays that all six share;
+    * gathered: the gathered clock, state, controller memory, stage 1
+      and rejection flag of a gathered sweep;
+    * hi, rem and err (float) and hits, ok, failed, accept and mask
+      (bool; mask holds short-lived comparisons).
+    """
+
+    FLOATS = 8 + 2 * 6 + 6 + 6 + 3
+    BOOLS = 1 + 5
+
+    def __init__(self, n):
+        self._floats = np.empty((self.FLOATS, n))
+        self._bools = np.empty((self.BOOLS, n), dtype=bool)
+        self._m = None
+
+    def views(self, m):
+        if m != self._m:
+            f = list(self._floats[:, :m])
+            b = list(self._bools[:, :m])
+            self.trial = f[:8]
+            shared = f[20:26]
+            self.slots = [(f[8 + 2 * i], f[9 + 2 * i], *shared) for i in range(6)]
+            self.gathered = f[26:32] + b[:1]
+            self.hi, self.rem, self.err = f[32:]
+            self.hits, self.ok, self.failed, self.accept, self.mask = b[1:]
+            self._m = m
+        return self
 
 
 def _finish_row(
@@ -514,8 +589,11 @@ def evolve_targets(
     points is a list of SpatialPoint or a (xi, theta, phi) array
     triple; the cloud is propagated as (xi, theta), so phi's shape is
     checked but phi is not propagated, and the spin (it enters only
-    dphi) plays no part.  drive selects the analytic driven amplitudes; pass
-    source=FrozenSource(...) (and drive=None) for undriven states.  A
+    dphi) plays no part.  Every xi must be finite and positive and every
+    theta finite, or ParameterError is raised; a theta within the axis
+    guard of a pole counts as an axis drop-out.  drive selects the
+    analytic driven amplitudes; pass source=FrozenSource(...) (and
+    drive=None) for undriven states.  A
     NumericSource is refused with ParameterError, whatever the targets.
     The seed is recorded in the summaries for bookkeeping only;
     sampling happens in sample_initial/sample_arrays.
@@ -553,6 +631,11 @@ def evolve_targets(
             "points must be three equal-length 1-D arrays with at least one point, "
             "got shapes %r, %r, %r" % (xi.shape, theta.shape, phi.shape)
         )
+    # Such rows would be propagated, or counted as step-underflow
+    # drop-outs without a step.  A finite theta outside (0, pi) is left
+    # to the axis guard, which counts it as an axis drop-out.
+    if not (np.all(xi > 0.0) and np.all(xi < math.inf) and np.all(np.isfinite(theta))):
+        raise ParameterError("points need finite positive xi and finite theta")
     count = len(xi)
     for tau in tau_targets:
         if not 0.0 <= tau < math.inf:

@@ -13,7 +13,9 @@ One tableau, one trial step and one float PI controller:
   rate-feeding slots with 0.0 in the carried one.  The rhs's first
   argument is each stage's time, except in the ensemble's sweep, which
   passes stage arguments instead: the amplitude terms at the five
-  stage times, computed in one pass (see dp5_trial).  Every loop reuses
+  stage times, computed in one pass (see dp5_trial).  The sweep also
+  hands dp5_trial work arrays, which it then writes into instead of
+  allocating, with the same arithmetic to the bit.  Every loop reuses
   an accepted step's last stage as the next step's first
   (first-same-as-last).  The scalar loop samples between its steps
   with dp5_dense, which builds the step's continuous extension from
@@ -38,6 +40,8 @@ from __future__ import annotations
 
 import math
 from typing import Callable, Optional, Sequence
+
+import numpy as np
 
 from .errors import IntegrationError, ParameterError
 
@@ -116,7 +120,7 @@ PI_BETA = 0.4 / 5.0
 STAGE_C = (C2, C3, C4, C5, 1.0)
 
 
-def dp5_trial(rhs, t, h, xi, theta, phi, k1, stage_args=None):
+def dp5_trial(rhs, t, h, xi, theta, phi, k1, stage_args=None, work=None):
     """One Dormand-Prince 5(4) trial step of a trajectory.
 
     rhs(t, xi, theta) returns (dxi, dtheta, dphi) and possibly more,
@@ -140,7 +144,15 @@ def dp5_trial(rhs, t, h, xi, theta, phi, k1, stage_args=None):
     component, and the stages (k1, k3, k4, k5, k6, k7) that dp5_dense
     needs.  The last two stages are evaluated at one shared time
     object, t + h (or the last of stage_args).
+
+    work, eight float arrays at least as long as the rows, makes the
+    step write into their first len(xi) entries (see _dp5_trial_into):
+    the arrays path of the batch sweep, which owns them and passes
+    stage_args.  None runs the
+    operator body below, on floats, complex numbers or arrays.
     """
+    if work is not None:
+        return _dp5_trial_into(rhs, h, xi, theta, phi, k1, stage_args, work)
     if stage_args is None:
         s2, s3, s4, s5, s6 = t + C2 * h, t + C3 * h, t + C4 * h, t + C5 * h, t + h
     else:
@@ -183,6 +195,72 @@ def dp5_trial(rhs, t, h, xi, theta, phi, k1, stage_args=None):
         E1 * k1[2] + E3 * k3[2] + E4 * k4[2] + E5 * k5[2] + E6 * k6[2] + E7 * k7[2]
     )
     return xi_new, theta_new, phi_new, k7, e_xi, e_theta, e_phi, (k1, k3, k4, k5, k6, k7)
+
+
+# The tableau's rows, as _dp5_trial_into sums them: stages 2 to 6, the
+# fifth-order solution and the error (over k1, k3, ..., k7).
+_A_ROWS = ((A21,), (A31, A32), (A41, A42, A43), (A51, A52, A53, A54), (A61, A62, A63, A64, A65))
+_B_ROW = (B1, B3, B4, B5, B6)
+_E_ROW = (E1, E3, E4, E5, E6, E7)
+
+
+def _dp5_trial_into(rhs, h, xi, theta, phi, k1, stage_args, work):
+    """dp5_trial on arrays, writing every array it makes into work.
+
+    Each sum is the operator body's, term by term and left to right,
+    as ufunc calls with out=, so every value is the same to the bit.
+    work holds, in order, the stage state (two arrays, overwritten by
+    each stage), the new state, the errors and two scratch arrays; the
+    xi_new, theta_new, e_xi and e_theta returned are views of them,
+    which the next trial on the same work overwrites.  Each stage
+    overwrites the stage state, so the rates rhs returns must not be
+    views of its state arguments.
+
+    stage_args are required here, and may hold six entries instead of
+    five, one per rhs call, so that stages 6 and 7, which share a time,
+    can carry different arguments: the batch sweep gives each call its
+    own output slot for the rates (see dynamics._numpy_rates).  The
+    carried slot is computed as in the operator body, except that it is
+    skipped when phi and every stage's carried rate are the float 0.0:
+    phi_new and e_phi are then 0.0 too, not arrays of h times zero.
+    """
+    m = len(xi)
+    ys0, ys1, xi_new, theta_new, e_xi, e_theta, acc, tmp = [w[:m] for w in work]
+    s2, s3, s4, s5, s6, *s7 = stage_args
+    s7 = s7[0] if s7 else s6
+
+    # Local names: a trial makes about 140 of these calls.
+    multiply, add = np.multiply, np.add
+
+    def combine(out, y, weights, ks, c):
+        # y + h * (w1 k1[c] + w2 k2[c] + ...), or h * (...) when y is None.
+        multiply(weights[0], ks[0][c], out=acc)
+        for i in range(1, len(weights)):
+            add(acc, multiply(weights[i], ks[i][c], out=tmp), out=acc)
+        if y is None:
+            return multiply(h, acc, out=out)
+        return add(y, multiply(h, acc, out=acc), out=out)
+
+    ks = [k1]
+    for s, weights in zip((s2, s3, s4, s5, s6), _A_ROWS):
+        combine(ys0, xi, weights, ks, 0)
+        combine(ys1, theta, weights, ks, 1)
+        ks.append(rhs(s, ys0, ys1))
+    k1, k2, k3, k4, k5, k6 = ks
+    high = (k1, k3, k4, k5, k6)
+    combine(xi_new, xi, _B_ROW, high, 0)
+    combine(theta_new, theta, _B_ROW, high, 1)
+    k7 = rhs(s7, xi_new, theta_new)
+    stages = (k1, k3, k4, k5, k6, k7)
+    combine(e_xi, None, _E_ROW, stages, 0)
+    combine(e_theta, None, _E_ROW, stages, 1)
+    carried = [phi] + [k[2] for k in ks + [k7]]
+    if all(type(v) is float and v == 0.0 for v in carried):
+        phi_new = e_phi = 0.0
+    else:
+        phi_new = combine(None, phi, _B_ROW, high, 2)
+        e_phi = combine(None, None, _E_ROW, stages, 2)
+    return xi_new, theta_new, phi_new, k7, e_xi, e_theta, e_phi, stages
 
 
 def next_step(h, err, err_prev, just_rejected):

@@ -38,6 +38,7 @@ from pilotwave import (
 )
 from pilotwave.dynamics import (
     SPIN_UP,
+    _numpy_rates,
     _sincos,
     continuity_defect,
     make_batch_rhs,
@@ -231,6 +232,30 @@ def test_sincos_special_values():
     with np.errstate(invalid="ignore"):
         bad = _sincos(np.array([math.nan, math.inf, -math.inf]))
     assert all(np.isnan(k).all() for k in bad)
+
+
+@pytest.mark.parametrize("kind", ["analytic", "frozen"])
+def test_rates_into_work_arrays_equal_allocating_rates_bitwise(reference_drive, kind):
+    # The batch sweep writes each stage's rates into arrays it owns.
+    # Over times up to 2e4 and theta past both poles, where trial stages
+    # reach, every value must be the allocating call's.
+    if kind == "analytic":
+        source = AnalyticSource(reference_drive)
+    else:
+        source = FrozenSource(*FROZEN_PAIR)
+    rng = np.random.default_rng(14)
+    n = 4000
+    tau = rng.uniform(0.0, 2e4, n)
+    xi = rng.uniform(1e-3, 30.0, n)
+    theta = rng.uniform(-1.0, math.pi + 1.0, n)
+    terms = source.cross_terms(np)(tau)
+    want = _numpy_rates(xi, theta, *terms)
+    out = [np.full(n, np.nan) for _ in range(8)]
+    got = _numpy_rates(xi, theta, *terms, out)
+    assert got[0] is out[0] and got[1] is out[1] and got[3] is out[2]
+    assert got[2] == want[2] == 0.0
+    for g, w in zip(got, want):
+        assert np.asarray(g).tobytes() == np.asarray(w).tobytes()
 
 
 @pytest.mark.parametrize("kind", ["frozen", "numeric"])

@@ -353,6 +353,20 @@ def test_rejects_empty_and_ragged_clouds():
 
 
 @pytest.mark.parametrize(
+    "column, value",
+    [(0, -1.0), (0, 0.0), (0, math.nan), (0, math.inf), (1, math.nan), (1, math.inf)],
+)
+def test_rejects_non_finite_or_non_positive_points(column, value):
+    # One bad row in a sampled cloud.  Propagated, a negative xi would
+    # be reported with no drop-out, and the others as step-underflow
+    # drop-outs that never took a step.
+    points = [a.copy() for a in sample_arrays(50, seed=3)]
+    points[column][7] = value
+    with pytest.raises(ParameterError, match="finite positive xi and finite theta"):
+        evolve_targets(points, (50.0,), None, QUICK, source=FrozenSource(1.0, 0.0))
+
+
+@pytest.mark.parametrize(
     "failure, error", [("raise", ZeroDivisionError), ("die", BrokenProcessPool)]
 )
 def test_failed_shard_fails_the_call(monkeypatch, failure, error):

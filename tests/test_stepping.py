@@ -326,6 +326,71 @@ def test_later_trial_leaves_earlier_stages_unchanged(reference_drive, kind):
     assert _trial_bytes(first) == before
 
 
+def _work_arrays(count, rows):
+    # Longer than the rows, and full of NaN, so a read of an entry that
+    # was not written shows.
+    return [np.full(rows, np.nan) for _ in range(count)]
+
+
+@pytest.mark.parametrize("kind", ["analytic", "frozen"])
+def test_trial_into_work_arrays_equals_operator_trial_bitwise(reference_drive, kind):
+    # dp5_trial with work arrays, on rows that include NaN and +-inf
+    # states, against the operator body on the same rows: with the five
+    # stage arguments, and with six that carry each rhs call's output
+    # slot (as the sweep passes them).  Whole rows first, then a
+    # gathered subset in the same longer work arrays.  The carried slot
+    # (phi and dphi all 0.0) is not computed.
+    source = _source(kind, reference_drive)
+    rng = np.random.default_rng(15)
+    n = 64
+    xi, theta, _ = sample_arrays(n, 11)
+    xi[[0, 1, 2]] = [math.nan, math.inf, -math.inf]
+    theta[[3, 4, 5]] = [math.nan, math.inf, -math.inf]
+    t = rng.uniform(0.0, 3000.0, n)
+    h = rng.uniform(0.01, 1.0, n)
+    rhs = make_batch_rhs(source)
+    stages = make_batch_stages(source)
+    trial_work = _work_arrays(8, n + 16)
+    slot_work = _work_arrays(12 + 6, n + 16)
+    gathered = np.union1d([0, 3, 4], np.nonzero(rng.random(n) < 0.5)[0])
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for rows in (slice(None), gathered):
+            ti, hi, a0, a1 = t[rows], h[rows], xi[rows], theta[rows]
+            m = len(ti)
+            k1 = rhs(ti, a0, a1)
+            want = dp5_trial(rhs, ti, hi, a0, a1, 0.0, k1, stages(ti, hi))
+            shared = [w[:m] for w in slot_work[12:]]
+            slots = [(slot_work[2 * i][:m], slot_work[2 * i + 1][:m], *shared) for i in range(6)]
+            terms = stages(ti, hi)
+            for stage_args in (
+                terms,
+                [(*terms[min(i, 4)], slot) for i, slot in enumerate(slots)],
+            ):
+                got = dp5_trial(rhs, ti, hi, a0, a1, 0.0, k1, stage_args, trial_work)
+                assert got[2] == got[6] == 0.0
+                for i in (0, 1, 4, 5):
+                    assert got[i].tobytes() == want[i].tobytes()
+                    assert np.shares_memory(got[i], trial_work[i + 2 if i < 2 else i])
+                # Rates only: with output slots, rho is scratch that the
+                # next stage overwrites.
+                for g, w in zip(got[7], want[7]):
+                    assert g[0].tobytes() == w[0].tobytes()
+                    assert g[1].tobytes() == w[1].tobytes()
+            assert np.isnan(want[0]).any() and np.isnan(want[4]).any()
+
+
+def test_trial_into_work_arrays_computes_a_live_carried_slot():
+    # A carried slot that is not all zeros is computed as the operator
+    # body computes it.
+    rng = np.random.default_rng(16)
+    t, h, x, y, z = (rng.uniform(0.1, 1.0, 32) for _ in range(5))
+    k1 = _arith_rhs(t, x, y)
+    times = [t + c * h for c in STAGE_C]
+    want = dp5_trial(_arith_rhs, t, h, x, y, z, k1, times)
+    got = dp5_trial(_arith_rhs, t, h, x, y, z, k1, times, _work_arrays(8, 40))
+    assert _trial_bytes(got) == _trial_bytes(want)
+
+
 def test_row_rhs_equals_batch_rhs_bitwise(reference_drive):
     # The row rhs runs the batch rhs's numpy code on floats; np.tan,
     # np.exp and friends round a scalar as they round an array element.
@@ -507,6 +572,44 @@ def test_whole_array_sweep_equals_row_loop_bitwise(reference_drive, monkeypatch,
     assert calls[65] == [64] * len(targets)
     _same_bytes(runs[65], runs[0])
     assert runs[0][-1][4].any()
+
+
+@pytest.mark.parametrize("kind", ["analytic", "frozen"])
+def test_advanced_states_share_no_memory(reference_drive, kind):
+    # The sweep writes into work arrays and keeps its state in arrays of
+    # its own; the state returned for each target must share memory with
+    # none of them, nor with any other target's.  The arrays the rhs is
+    # handed, and the output slots in its stage arguments, lead to all
+    # of them.
+    source = _source(kind, reference_drive)
+    cfg = IntegratorConfig(rel_tol=1e-6, abs_tol=1e-9, min_step=0.05)
+    xi, theta, _ = sample_arrays(64, 21)
+    batch_rhs = make_batch_rhs(source)
+    seen = []
+
+    def recording(tau, xi, theta):
+        seen.extend([xi, theta])
+        # A stage argument's terms, and its output slot if it has one.
+        for a in tau if type(tau) is tuple else ():
+            seen.extend(a if type(a) is tuple else [a])
+        return batch_rhs(tau, xi, theta)
+
+    states = _advance_batch(
+        recording, make_batch_stages(source), make_row_rhs(source),
+        xi, theta, (20.0, 20.0, 40.0), cfg,
+    )
+    bases = {}
+    for a in seen:
+        if not isinstance(a, np.ndarray):
+            continue  # the frozen source's ca2 and cb2 are floats
+        while a.base is not None:
+            a = a.base
+        bases[id(a)] = a
+    returned = [a for state in states for a in state]
+    assert len(returned) == 15
+    for i, a in enumerate(returned):
+        for b in list(bases.values()) + returned[i + 1:]:
+            assert not np.shares_memory(a, b)
 
 
 # Each driver against a tight reference, per component, in units of
