@@ -14,9 +14,27 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from .errors import ParameterError
 
 TWO_PI = 2.0 * math.pi
+
+
+def operand(value):
+    """value as a read-only float64 0-d array, to pass to ufunc calls.
+
+    This numpy takes such an operand about 0.2 us faster per call than a
+    Python float, which it converts on every call; the value, and so
+    every result, is the same to the bit.  The batch sweep's work-array
+    paths make about 160 calls with a constant operand per sweep, and
+    build theirs once, through this.  Read-only, so that no out= can
+    overwrite it.
+    """
+    a = np.array(value, dtype=np.float64)
+    a.flags.writeable = False
+    return a
+
 
 # hbar/(m a^2 omega0), exact for E2 = E1/4.
 VELOCITY_SCALE = 8.0 / 3.0

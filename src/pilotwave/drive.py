@@ -64,6 +64,7 @@ from .constants import (
     HBAR_JS,
     OMEGA0_PS,
     TWO_PI,
+    operand,
 )
 from .errors import ParameterError
 
@@ -291,6 +292,10 @@ def coefficient_arrays(tau, drive: DriveParameters):
     return c_a, c_b
 
 
+# The work-array paths' constants, as ufunc operands.
+_HALF, _ONE, _TWO, _TWO_PI = operand(0.5), operand(1.0), operand(2.0), operand(TWO_PI)
+
+
 def _sincos(x, out=None):
     """(sin x, cos x) from one tangent, through numpy.
 
@@ -312,9 +317,9 @@ def _sincos(x, out=None):
         e = 2.0 / (1.0 + t * t)
         return t * e, e - 1.0
     t, e = out
-    np.tan(np.multiply(0.5, x, out=t), out=t)
-    np.divide(2.0, np.add(1.0, np.multiply(t, t, out=e), out=e), out=e)
-    return np.multiply(t, e, out=t), np.subtract(e, 1.0, out=e)
+    np.tan(np.multiply(_HALF, x, out=t), out=t)
+    np.divide(_TWO, np.add(_ONE, np.multiply(t, t, out=e), out=e), out=e)
+    return np.multiply(t, e, out=t), np.subtract(e, _ONE, out=e)
 
 
 def _closed_form_terms(xp, drive: DriveParameters, rn: float):
@@ -340,17 +345,21 @@ def _closed_form_terms(xp, drive: DriveParameters, rn: float):
     arrays = xp is np
     rint = np.rint if arrays else round
     rO, sigma_t, omega_t = drive.ratio_Omega, drive.sigma_t, drive.omega_t
+    if arrays:
+        # cross_into's constants, as ufunc operands.
+        half_sigma_op, omega_op = operand(0.5 * sigma_t), operand(omega_t)
+        rn_op, rO_op = operand(rn), operand(rO)
 
     def cross_into(tau, out):
         b0, b1, b2, b3, b4, b5 = out
-        half = np.multiply(0.5 * sigma_t, tau, out=b1)
-        w = np.multiply(omega_t, tau, out=b0)
-        turns = np.rint(np.divide(w, TWO_PI, out=b2), out=b2)
-        w = np.subtract(w, np.multiply(TWO_PI, turns, out=b2), out=b0)
+        half = np.multiply(half_sigma_op, tau, out=b1)
+        w = np.multiply(omega_op, tau, out=b0)
+        turns = np.rint(np.divide(w, _TWO_PI, out=b2), out=b2)
+        w = np.subtract(w, np.multiply(_TWO_PI, turns, out=b2), out=b0)
         sh, ch = _sincos(half, (b1, b2))
         sw, cw = _sincos(w, (b0, b3))
-        q = np.multiply(rn, sh, out=b4)
-        rs = np.multiply(rO, sh, out=b1)
+        q = np.multiply(rn_op, sh, out=b4)
+        rs = np.multiply(rO_op, sh, out=b1)
         x = np.multiply(rs, cw, out=b5)
         y = np.multiply(rs, sw, out=b1)
         np.add(x, np.multiply(ch, sw, out=b0), out=x)
@@ -358,7 +367,7 @@ def _closed_form_terms(xp, drive: DriveParameters, rn: float):
         tp = np.multiply(np.negative(q, out=b0), x, out=b5)
         im = np.multiply(q, y, out=b1)
         cb2 = np.multiply(q, q, out=b4)
-        return np.subtract(1.0, cb2, out=b0), cb2, tp, im
+        return np.subtract(_ONE, cb2, out=b0), cb2, tp, im
 
     def cross(tau, out=None):
         if out is not None:
@@ -555,8 +564,8 @@ def _rotated(xp):
 
     def rotated_into(ca2, cb2, mr, mi, tau, out):
         b0, b1, b2, b3 = out[:4]
-        turns = np.rint(np.divide(tau, TWO_PI, out=b1), out=b1)
-        w = np.subtract(tau, np.multiply(TWO_PI, turns, out=b1), out=b0)
+        turns = np.rint(np.divide(tau, _TWO_PI, out=b1), out=b1)
+        w = np.subtract(tau, np.multiply(_TWO_PI, turns, out=b1), out=b0)
         sw, cw = _sincos(w, (b0, b1))
         tp = np.add(np.multiply(mr, cw, out=b2), np.multiply(mi, sw, out=b3), out=b2)
         im = np.subtract(np.multiply(mi, cw, out=b1), np.multiply(mr, sw, out=b0), out=b1)

@@ -70,7 +70,7 @@ from typing import Callable
 
 import numpy as np
 
-from .constants import VELOCITY_SCALE
+from .constants import VELOCITY_SCALE, operand
 from .drive import (
     AnalyticSource,
     CoefficientState,
@@ -323,6 +323,11 @@ def _numpy_rates(xi, theta, ca2, cb2, tp, im, out=None):
     return fi * (u2x + u2) / rho, fi * u2t / (xi * xi * rho), 0.0, rho
 
 
+# _numpy_rates_into's constants, as ufunc operands.
+_N1, _N2, _SCALE = operand(N1), operand(N2), operand(VELOCITY_SCALE)
+_HALF, _NEG_HALF, _ONE, _TWO = operand(0.5), operand(-0.5), operand(1.0), operand(2.0)
+
+
 def _numpy_rates_into(xi, theta, ca2, cb2, tp, im, out):
     """_numpy_rates with out: every line above as ufunc calls, in place."""
     dxi, dtheta, rho, w0, w1, w2, w3, w4 = out
@@ -330,19 +335,19 @@ def _numpy_rates_into(xi, theta, ca2, cb2, tp, im, out):
     multiply, add, exp = np.multiply, np.add, np.exp
     sn, ct = _sincos(theta, (dxi, dtheta))
     u1 = exp(np.negative(xi, out=w0), out=w0)
-    exh = exp(multiply(-0.5, xi, out=w1), out=w1)
-    multiply(N1, u1, out=u1)
-    b = multiply(multiply(N2, xi, out=w2), exh, out=w2)
+    exh = exp(multiply(_NEG_HALF, xi, out=w1), out=w1)
+    multiply(_N1, u1, out=u1)
+    b = multiply(multiply(_N2, xi, out=w2), exh, out=w2)
     u2 = multiply(b, ct, out=w3)
-    u2x = np.subtract(1.0, multiply(0.5, xi, out=w4), out=w4)
-    multiply(multiply(multiply(N2, u2x, out=u2x), exh, out=u2x), ct, out=u2x)
+    u2x = np.subtract(_ONE, multiply(_HALF, xi, out=w4), out=w4)
+    multiply(multiply(multiply(_N2, u2x, out=u2x), exh, out=u2x), ct, out=u2x)
     u2t = multiply(np.negative(b, out=b), sn, out=b)
     # rho's three products in w1, summed left to right into rho.
     multiply(multiply(ca2, u1, out=rho), u1, out=rho)
     add(rho, multiply(multiply(cb2, u2, out=w1), u2, out=w1), out=rho)
-    multiply(multiply(2.0, u1, out=w1), u2, out=w1)
+    multiply(multiply(_TWO, u1, out=w1), u2, out=w1)
     add(rho, multiply(w1, tp, out=w1), out=rho)
-    fi = multiply(multiply(VELOCITY_SCALE, im, out=w1), u1, out=w1)
+    fi = multiply(multiply(_SCALE, im, out=w1), u1, out=w1)
     np.divide(multiply(fi, add(u2x, u2, out=u2x), out=dxi), rho, out=dxi)
     xxr = multiply(multiply(xi, xi, out=w0), rho, out=w0)
     np.divide(multiply(fi, u2t, out=dtheta), xxr, out=dtheta)
@@ -388,18 +393,28 @@ def make_batch_stages(source):
     so a sweep allocates none of them.  The tuples hold row views of
     those arrays, which the next call overwrites.  Analytic and frozen
     sources; the frozen source's ca2 and cb2 stay floats.
+
+    The (5, m) views and the table of tuples are kept while the row
+    count repeats, and the same table comes back: the terms' work-array
+    path returns its out arrays themselves, so the kept row views see
+    each call's terms.  A new row count builds both again.
     """
     cross = source.cross_terms(np)
     work = []  # six flat arrays of five times the most rows seen
+    last = [None, None, None]  # the row count, its (5, m) views and its table
 
     def stages(t, h):
         m = len(h)
-        if not work or work[0].size < 5 * m:
-            work[:] = [np.empty(5 * m) for _ in range(6)]
-        out = [w[: 5 * m].reshape(5, m) for w in work]
+        if m != last[0]:
+            if not work or work[0].size < 5 * m:
+                work[:] = [np.empty(5 * m) for _ in range(6)]
+            last[:] = m, [w[: 5 * m].reshape(5, m) for w in work], None
+        out = last[1]
         tau = np.add(t, np.multiply(_STAGE_COLUMN, h, out=out[0]), out=out[0])
         terms = cross(tau, out)
-        return list(zip(*[(x,) * 5 if isinstance(x, float) else x for x in terms]))
+        if last[2] is None:
+            last[2] = list(zip(*[(x,) * 5 if isinstance(x, float) else x for x in terms]))
+        return last[2]
 
     return stages
 

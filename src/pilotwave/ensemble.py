@@ -26,7 +26,7 @@ result is byte-identical for any number of CPUs.  For the same reason a
 sweep may work on whole arrays while every row is still active, and
 gather the active rows through an index once some have finished.
 
-A batch sweep costs a fixed ~0.23 ms of numpy dispatch however few
+A batch sweep costs a fixed ~0.17 ms of numpy dispatch however few
 rows it steps, and a cloud's last rows to reach a target (those dwelling
 near density nodes) can take hundreds of sweeps on their own.  Once
 fewer than TAIL_ROWS rows are still short of a target, each of them is
@@ -46,7 +46,7 @@ from typing import Optional
 
 import numpy as np
 
-from .constants import E1_EV, E2_EV
+from .constants import E1_EV, E2_EV, operand
 from .drive import AnalyticSource, CoefficientState, DriveParameters, NumericSource
 from .dynamics import AXIS_GUARD, make_batch_rhs, make_batch_stages, make_row_rhs
 from .engine import IntegratorConfig
@@ -76,22 +76,24 @@ SHARD_MIN_ROWS = 1024
 # Fewest active rows for a batch sweep; below it each remaining row is
 # finished to the segment's target alone (_finish_row), with the same
 # result byte for byte.  A sweep has a fixed numpy dispatch cost: on a
-# 2-core machine (rtol 1e-6, best of 8 runs per size, least squares
-# over sweeps of 12 to 800 rows) a sweep of n rows took
-# 0.232 ms + 0.216 us * n and one row step alone 30 us, so the row loop
-# is the cheaper way up to n = 7 and about even at 8.  Both ways take
+# 2-core machine (rtol 1e-6; the median, over the whole-array sweeps of
+# one run, of each sweep's best wall in 8 runs; least squares over
+# sweeps of 12 to 800 rows; residuals within 5%) a sweep of n rows took
+# 0.168 ms + 0.205 us * n and one row step alone 29 us, so the row loop
+# is the cheaper way up to n = 5 and about even at 6.  Both ways take
 # the same steps, so the sweep sizes recorded in a run without the row
 # loop give each threshold's cost of the sweep loop, as a fraction of
 # that run's:
 #
-#   TAIL_ROWS                            4      8      12     16     24
-#   300 rows to 125/250/500 (seeds       0.856  0.831  0.833  0.843  0.862
-#     11-16, median; 0.625-0.970 at 12)
-#   1000 rows to 2000                    0.703  0.673  0.680  0.689  0.739
+#   TAIL_ROWS                            4      6      8      10     12     16     24
+#   300 rows to 125/250/500 (seeds       0.876  0.872  0.878  0.883  0.885  0.904  0.936
+#     11-16, median; 0.677-0.997 at 12)
+#   1000 rows to 2000 (seed 1)           0.873  0.866  0.872  0.880  0.900  0.913  0.962
 #
-# Every threshold from 8 to 12 is within 0.7% of the best (8), less
-# than the fit's own error (its residuals reach 4% of a sweep).
-TAIL_ROWS = 12
+# 6 is the best on both clouds and 8 is within 0.7% of it, while 12
+# costs 1.5% and 3.9% more than 6.  8 leaves room for a host with a
+# higher fixed cost: at 0.22 ms the two ways break even near 8.
+TAIL_ROWS = 8
 
 
 class EnsembleDropoutError(ParameterError):
@@ -250,6 +252,15 @@ def _tv(observed, obs_over, expected, exp_over) -> float:
     )
 
 
+# The sweep's constants as ufunc operands: the norm's divisor, the
+# axis check's interval (see _advance_batch) and the step control's.
+_ONE, _TWO, _HALF, _ZERO, _INF = (operand(x) for x in (1.0, 2.0, 0.5, 0.0, math.inf))
+_AXIS_LO, _AXIS_HI = operand(1e-3), operand(3.14)
+_ERR_TINY, _ERR_FLOOR = operand(1e-300), operand(1e-4)
+_SAFETY, _NEG_ALPHA, _BETA = operand(SAFETY), operand(-PI_ALPHA), operand(PI_BETA)
+_MIN_FACTOR, _MAX_FACTOR = operand(MIN_FACTOR), operand(MAX_FACTOR)
+
+
 def _advance_batch(
     rhs,
     stages,
@@ -279,10 +290,15 @@ def _advance_batch(
     and scatters them back, with the same arithmetic per row.  Every
     per-row array a sweep computes, apart from the gathered rows' index,
     is written into work arrays allocated here once, at the cloud's row
-    count (_SweepWork); a gathered sweep uses their first entries.  Once fewer than TAIL_ROWS rows of a segment are
-    still short of its target, each of them is finished alone
-    (_finish_row) with row_rhs, a make_row_rhs closure of the same
-    source; the result is the same, byte for byte.
+    count (_SweepWork); a gathered sweep uses their first entries.  The
+    stage arguments are rebuilt only when the row count changes, the
+    ufunc constants are 0-d arrays (constants.operand), and a masked
+    write is skipped when its mask is empty, as the landing, failure,
+    zero-error and just-rejected masks are in most sweeps.  Once fewer
+    than TAIL_ROWS rows of a segment are still short of its target,
+    each of them is finished alone (_finish_row) with row_rhs, a
+    make_row_rhs closure of the same source; the result is the same,
+    byte for byte.
     """
     n = len(xi)
     t = np.zeros(n)
@@ -295,9 +311,13 @@ def _advance_batch(
     axis_out = np.zeros(n, dtype=bool)
     under_out = np.zeros(n, dtype=bool)
     active = np.empty(n, dtype=bool)
-    rtol = cfg.rel_tol
-    atol = cfg.abs_tol
+    rtol, atol = operand(cfg.rel_tol), operand(cfg.abs_tol)
+    max_step, min_step = operand(cfg.max_step), operand(cfg.min_step)
     work = _SweepWork(n)
+    # The last stage table that stages returned, and the six stage
+    # arguments built on it: stages returns the same table, and work the
+    # same slots, while the row count repeats.
+    table = args = None
 
     # Drop anything already hugging the axis.
     bad = np.sin(y1) < AXIS_GUARD
@@ -309,6 +329,7 @@ def _advance_batch(
         # A Python float, so that the row loop's scalar arithmetic
         # promotes exactly as the sweep's array arithmetic does.
         tau_target = float(tau_target)
+        target = operand(tau_target)
         # Stage 1 of each row's next trial (first-same-as-last).  A
         # rejected row keeps its clock and state, and an accepted row's
         # last stage was evaluated at its new clock and state, so after
@@ -320,11 +341,11 @@ def _advance_batch(
             stage1 = list(rhs(t, y0, y1)[:2])
 
         while True:
-            np.logical_and(alive, np.less(t, tau_target, out=active), out=active)
+            np.logical_and(alive, np.less(t, target, out=active), out=active)
             m = int(np.count_nonzero(active))
             if m < TAIL_ROWS or m == 0:
                 with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                    for i in np.flatnonzero(active).tolist():
+                    for i in active.nonzero()[0].tolist():
                         _finish_row(
                             row_rhs, i, tau_target, cfg,
                             t, (y0, y1), h, err_prev, just_rej, stage1, alive, under_out,
@@ -337,26 +358,30 @@ def _advance_batch(
             whole = m == n
             if whole:
                 ti, a0, a1, ep, k1x, k1t, jr = t, y0, y1, err_prev, *stage1, just_rej
-                hi = np.minimum(h, cfg.max_step, out=w.hi)
+                hi = np.minimum(h, max_step, out=w.hi)
             else:
-                idx = np.flatnonzero(active)
+                idx = active.nonzero()[0]
                 gathered = zip((t, y0, y1, err_prev, *stage1, just_rej), w.gathered)
                 # mode="clip" skips the copy that "raise" makes when given
                 # out; idx holds only valid rows.
                 ti, a0, a1, ep, k1x, k1t, jr = [
-                    np.take(a, idx, out=g, mode="clip") for a, g in gathered
+                    a.take(idx, out=g, mode="clip") for a, g in gathered
                 ]
-                hi = np.take(h, idx, out=w.hi, mode="clip")
-                np.minimum(hi, cfg.max_step, out=hi)
-            rem = np.subtract(tau_target, ti, out=w.rem)
+                hi = h.take(idx, out=w.hi, mode="clip")
+                np.minimum(hi, max_step, out=hi)
+            rem = np.subtract(target, ti, out=w.rem)
             hits = np.greater_equal(hi, rem, out=w.hits)
-            np.copyto(hi, rem, where=hits)
+            # count_nonzero tests a mask for rows more cheaply than the
+            # masked write it saves (and than mask.any()).
+            any_hits = np.count_nonzero(hits)
+            if any_hits:
+                np.copyto(hi, rem, where=hits)
 
-            under = np.less(hi, cfg.min_step, out=w.mask)
-            if under.any():
+            under = np.less(hi, min_step, out=w.mask)
+            if np.count_nonzero(under):
                 # These rows drop out; the others start the sweep again
                 # with the same clocks and steps.
-                sel = np.flatnonzero(under) if whole else idx[under]
+                sel = under.nonzero()[0] if whole else idx[under]
                 under_out[sel] = True
                 alive[sel] = False
                 continue
@@ -368,7 +393,9 @@ def _advance_batch(
             with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
                 # Stages 6 and 7 share their terms but not their slots.
                 terms = stages(ti, hi)
-                args = [(*terms[min(i, 4)], slot) for i, slot in enumerate(w.slots)]
+                if terms is not table:
+                    table = terms
+                    args = [(*terms[min(i, 4)], slot) for i, slot in enumerate(w.slots)]
                 b0, b1, _, k7, e0, e1 = dp5_trial(
                     rhs, ti, hi, a0, a1, 0.0, (k1x, k1t, 0.0), args, trial
                 )[:6]
@@ -380,34 +407,41 @@ def _advance_batch(
                     s = np.maximum(np.abs(a, out=q), np.abs(b, out=g), out=q)
                     np.add(atol, np.multiply(rtol, s, out=s), out=s)
                     np.square(np.divide(e, s, out=q), out=q)
-                err = np.sqrt(np.divide(np.add(q0, q1, out=q0), 2.0, out=q0), out=w.err)
+                err = np.sqrt(np.divide(np.add(q0, q1, out=q0), _TWO, out=q0), out=w.err)
                 # A trial state past the axis puts 1/sin(theta) on the wrong
                 # sheet, so its last stage and error mean nothing.  On
                 # [1e-3, 3.14] sin exceeds 9e-4, far above AXIS_GUARD, so
                 # np.sin (a scalar libm loop, dearer than the rest of the
                 # norm) runs only on the rows outside, NaN among them.
-                ok = np.greater_equal(b1, 1e-3, out=w.ok)
-                np.logical_and(ok, np.less_equal(b1, 3.14, out=w.mask), out=ok)
-                near = np.flatnonzero(np.logical_not(ok, out=w.failed))
+                ok = np.greater_equal(b1, _AXIS_LO, out=w.ok)
+                np.logical_and(ok, np.less_equal(b1, _AXIS_HI, out=w.mask), out=ok)
+                near = np.logical_not(ok, out=w.failed).nonzero()[0]
                 if near.size:
                     ok[near] = np.sin(b1[near]) >= AXIS_GUARD
                 np.logical_and(ok, np.isfinite(err, out=w.mask), out=ok)
             failed = np.logical_not(ok, out=w.failed)
-            np.copyto(err, np.inf, where=failed)
-            accept = np.less_equal(err, 1.0, out=w.accept)
+            any_failed = np.count_nonzero(failed)
+            if any_failed:
+                np.copyto(err, _INF, where=failed)
+            accept = np.less_equal(err, _ONE, out=w.accept)
 
             # The step factor of every row, accepted (PI) or rejected (I
             # alone, or a halving).  Flooring the error first keeps
             # 0 ** -alpha from warning; no rejected error is below 1.
-            grow = np.power(np.maximum(err, 1e-300, out=g), -PI_ALPHA, out=g)
-            np.multiply(SAFETY, grow, out=grow)
-            fac = np.multiply(grow, np.power(ep, PI_BETA, out=f), out=f)
-            np.copyto(fac, MAX_FACTOR, where=np.equal(err, 0.0, out=w.mask))
-            np.clip(fac, MIN_FACTOR, MAX_FACTOR, out=fac)
-            np.minimum(fac, 1.0, out=fac, where=jr)
+            grow = np.power(np.maximum(err, _ERR_TINY, out=g), _NEG_ALPHA, out=g)
+            np.multiply(_SAFETY, grow, out=grow)
+            fac = np.multiply(grow, np.power(ep, _BETA, out=f), out=f)
+            zero = np.equal(err, _ZERO, out=w.mask)
+            if np.count_nonzero(zero):
+                np.copyto(fac, _MAX_FACTOR, where=zero)
+            # Clipped to [MIN_FACTOR, MAX_FACTOR], as np.clip would.
+            np.minimum(np.maximum(fac, _MIN_FACTOR, out=fac), _MAX_FACTOR, out=fac)
+            if np.count_nonzero(jr):
+                np.minimum(fac, _ONE, out=fac, where=jr)
             # The factor of each row, the rejected ones' shrink in place.
-            shrink = np.maximum(MIN_FACTOR, grow, out=grow)
-            np.copyto(shrink, 0.5, where=failed)
+            shrink = np.maximum(_MIN_FACTOR, grow, out=grow)
+            if any_failed:
+                np.copyto(shrink, _HALF, where=failed)
             np.copyto(shrink, fac, where=accept)
             # Repeated axis failures shrink h below min_step and the
             # trajectory is then dropped on a later sweep.
@@ -415,12 +449,13 @@ def _advance_batch(
             # What an accepted row takes on: the clock, the state, the
             # controller memory and stage 1 of its next trial.
             t_new = np.add(ti, hi, out=rem)
-            np.copyto(t_new, tau_target, where=hits)
+            if any_hits:
+                np.copyto(t_new, target, where=hits)
             updates = (
                 (t, ti, t_new),
                 (y0, a0, b0),
                 (y1, a1, b1),
-                (err_prev, ep, np.maximum(err, 1e-4, out=err)),
+                (err_prev, ep, np.maximum(err, _ERR_FLOOR, out=err)),
                 (stage1[0], k1x, k7[0]),
                 (stage1[1], k1t, k7[1]),
             )

@@ -43,6 +43,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
+from .constants import operand
 from .errors import IntegrationError, ParameterError
 
 # Dormand-Prince 5(4) coefficients.  The first-same-as-last property
@@ -148,11 +149,12 @@ def dp5_trial(rhs, t, h, xi, theta, phi, k1, stage_args=None, work=None):
     work, eight float arrays at least as long as the rows, makes the
     step write into their first len(xi) entries (see _dp5_trial_into):
     the arrays path of the batch sweep, which owns them and passes
-    stage_args.  None runs the
-    operator body below, on floats, complex numbers or arrays.
+    stage_args, and phi and the carried rates as 0.0, which it does not
+    compute.  None runs the operator body below, on floats, complex
+    numbers or arrays.
     """
     if work is not None:
-        return _dp5_trial_into(rhs, h, xi, theta, phi, k1, stage_args, work)
+        return _dp5_trial_into(rhs, h, xi, theta, k1, stage_args, work)
     if stage_args is None:
         s2, s3, s4, s5, s6 = t + C2 * h, t + C3 * h, t + C4 * h, t + C5 * h, t + h
     else:
@@ -198,13 +200,19 @@ def dp5_trial(rhs, t, h, xi, theta, phi, k1, stage_args=None, work=None):
 
 
 # The tableau's rows, as _dp5_trial_into sums them: stages 2 to 6, the
-# fifth-order solution and the error (over k1, k3, ..., k7).
-_A_ROWS = ((A21,), (A31, A32), (A41, A42, A43), (A51, A52, A53, A54), (A61, A62, A63, A64, A65))
-_B_ROW = (B1, B3, B4, B5, B6)
-_E_ROW = (E1, E3, E4, E5, E6, E7)
+# fifth-order solution and the error (over k1, k3, ..., k7), as ufunc
+# operands.
+_A_ROWS = tuple(
+    tuple(map(operand, row))
+    for row in (
+        (A21,), (A31, A32), (A41, A42, A43), (A51, A52, A53, A54), (A61, A62, A63, A64, A65)
+    )
+)
+_B_ROW = tuple(map(operand, (B1, B3, B4, B5, B6)))
+_E_ROW = tuple(map(operand, (E1, E3, E4, E5, E6, E7)))
 
 
-def _dp5_trial_into(rhs, h, xi, theta, phi, k1, stage_args, work):
+def _dp5_trial_into(rhs, h, xi, theta, k1, stage_args, work):
     """dp5_trial on arrays, writing every array it makes into work.
 
     Each sum is the operator body's, term by term and left to right,
@@ -220,9 +228,9 @@ def _dp5_trial_into(rhs, h, xi, theta, phi, k1, stage_args, work):
     five, one per rhs call, so that stages 6 and 7, which share a time,
     can carry different arguments: the batch sweep gives each call its
     own output slot for the rates (see dynamics._numpy_rates).  The
-    carried slot is computed as in the operator body, except that it is
-    skipped when phi and every stage's carried rate are the float 0.0:
-    phi_new and e_phi are then 0.0 too, not arrays of h times zero.
+    carried slot is not computed: the batch sweep, the one caller,
+    passes phi = 0.0 and rates with 0.0 there, and phi_new and e_phi
+    come back as 0.0.
     """
     m = len(xi)
     ys0, ys1, xi_new, theta_new, e_xi, e_theta, acc, tmp = [w[:m] for w in work]
@@ -254,13 +262,7 @@ def _dp5_trial_into(rhs, h, xi, theta, phi, k1, stage_args, work):
     stages = (k1, k3, k4, k5, k6, k7)
     combine(e_xi, None, _E_ROW, stages, 0)
     combine(e_theta, None, _E_ROW, stages, 1)
-    carried = [phi] + [k[2] for k in ks + [k7]]
-    if all(type(v) is float and v == 0.0 for v in carried):
-        phi_new = e_phi = 0.0
-    else:
-        phi_new = combine(None, phi, _B_ROW, high, 2)
-        e_phi = combine(None, None, _E_ROW, stages, 2)
-    return xi_new, theta_new, phi_new, k7, e_xi, e_theta, e_phi, stages
+    return xi_new, theta_new, 0.0, k7, e_xi, e_theta, 0.0, stages
 
 
 def next_step(h, err, err_prev, just_rejected):

@@ -55,9 +55,9 @@ SPHERE_XI_MAX = 40.0
 class SpatialPoint:
     """Position in scaled spherical coordinates.
 
-    xi = r/a must be positive and theta must lie strictly inside
-    (0, pi); the polar axis is excluded because the azimuthal velocity
-    carries a 1/sin(theta) factor.
+    xi = r/a must be positive and finite and theta must lie strictly
+    inside (0, pi); the polar axis is excluded because the azimuthal
+    velocity carries a 1/sin(theta) factor.
     """
 
     xi: float
@@ -65,8 +65,8 @@ class SpatialPoint:
     phi: float = 0.0
 
     def __post_init__(self):
-        if not self.xi > 0.0:
-            raise ParameterError("xi must be positive, got %r" % (self.xi,))
+        if not 0.0 < self.xi < math.inf:
+            raise ParameterError("xi must be positive and finite, got %r" % (self.xi,))
         if not 0.0 < self.theta < math.pi:
             raise ParameterError(
                 "theta must lie strictly inside (0, pi), got %r" % (self.theta,)

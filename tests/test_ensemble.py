@@ -364,6 +364,11 @@ def test_rejects_non_finite_or_non_positive_points(column, value):
     points[column][7] = value
     with pytest.raises(ParameterError, match="finite positive xi and finite theta"):
         evolve_targets(points, (50.0,), None, QUICK, source=FrozenSource(1.0, 0.0))
+    # A single point refuses the same values.
+    start = {"xi": 2.0, "theta": 1.0}
+    start[("xi", "theta")[column]] = value
+    with pytest.raises(ParameterError):
+        SpatialPoint(**start)
 
 
 @pytest.mark.parametrize(

@@ -310,6 +310,23 @@ def test_stage_work_arrays_grow_with_the_row_count(reference_drive, kind):
 
 
 @pytest.mark.parametrize("kind", ["analytic", "frozen"])
+def test_stage_table_follows_each_call_at_a_repeated_row_count(reference_drive, kind):
+    # The (5, m) views and the table are kept while the row count
+    # repeats: a later call at the same count, at other times, still
+    # gives its own times' terms, and so does a call at a new count.
+    source = _source(kind, reference_drive)
+    rng = np.random.default_rng(14)
+    stages = make_batch_stages(source)
+    cross = source.cross_terms(np)
+    for m, start in ((40, 0.0), (40, 900.0), (40, 1.5e4), (24, 1200.0), (24, 30.0)):
+        t = rng.uniform(start, start + 100.0, m)
+        h = rng.uniform(0.01, 1.0, m)
+        for c, row in zip(STAGE_C, stages(t, h)):
+            for got, want in zip(row, cross(t + c * h)):
+                assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
+@pytest.mark.parametrize("kind", ["analytic", "frozen"])
 def test_later_trial_leaves_earlier_stages_unchanged(reference_drive, kind):
     # The stage arguments are views of work arrays that the next trial
     # overwrites; the rates, states and errors a trial returns are its own.
@@ -377,18 +394,6 @@ def test_trial_into_work_arrays_equals_operator_trial_bitwise(reference_drive, k
                     assert g[0].tobytes() == w[0].tobytes()
                     assert g[1].tobytes() == w[1].tobytes()
             assert np.isnan(want[0]).any() and np.isnan(want[4]).any()
-
-
-def test_trial_into_work_arrays_computes_a_live_carried_slot():
-    # A carried slot that is not all zeros is computed as the operator
-    # body computes it.
-    rng = np.random.default_rng(16)
-    t, h, x, y, z = (rng.uniform(0.1, 1.0, 32) for _ in range(5))
-    k1 = _arith_rhs(t, x, y)
-    times = [t + c * h for c in STAGE_C]
-    want = dp5_trial(_arith_rhs, t, h, x, y, z, k1, times)
-    got = dp5_trial(_arith_rhs, t, h, x, y, z, k1, times, _work_arrays(8, 40))
-    assert _trial_bytes(got) == _trial_bytes(want)
 
 
 def test_row_rhs_equals_batch_rhs_bitwise(reference_drive):
