@@ -33,15 +33,14 @@ for bit, for the ensemble's last few rows.  The amplitude terms
 from the coefficient source's own cross_terms(xp), on floats
 (xp = math) or arrays (xp = numpy); see drive.
 
-Stage arguments: make_batch_stages computes the terms of a batch
-trial's five stage times in one pass, as one (ca2, cb2, tp, im) tuple
-per time; dp5_trial passes each tuple to the rhs where it would pass
-the time, and make_batch_rhs reads it as the terms themselves.  The
-ensemble's sweep appends to each tuple an output slot, work arrays
-that _numpy_rates writes that call's rates into, so stages 6 and 7,
-which share a time, get tuples of their own.  The rhs is still called
-six times per trial with the rows second.  The scalar and row rhs take
-times only.
+The batch rhs has one argument per path.  Given an array of times, it
+evaluates the terms there and allocates its rates.  In the ensemble's
+sweep, stepping.dp5_trial_into hands it instead one stage argument per
+call: the terms at that stage's time, which make_batch_stages computes
+for a trial's five stage times in one pass, and an output slot, work
+arrays that _numpy_rates_into writes the call's rates into.  The rhs is
+still called six times per trial with the rows second.  The scalar and
+row rhs take times only.
 
 Sines and cosines: the numpy path takes theta's pair from one tangent
 of its half angle, drive._sincos, as the sources' numpy terms do,
@@ -295,21 +294,13 @@ def guidance_current(xi, sn, ct, ca2, cb2, tp, im, sz):
     return fi * (u2x + u2), fi * u2t, j_phi, rho
 
 
-def _numpy_rates(xi, theta, ca2, cb2, tp, im, out=None):
+def _numpy_rates(xi, theta, ca2, cb2, tp, im):
     """(dxi, dtheta, 0.0, rho) through numpy from the cross terms at tau.
 
     guidance_current's in-plane lines in its operation order, with
     theta's sine and cosine from one _sincos call; 0.0 fills the slot
     of dphi, which is not computed.
-
-    out, eight float arrays shaped like xi (none of them xi or theta),
-    takes the same operations in place: dxi and dtheta come back in the
-    first two and rho in the third, and the other five are scratch.  So
-    the stages of a trial can keep their rates apart in their own first
-    pairs and share the other six arrays, rho included.  None allocates.
     """
-    if out is not None:
-        return _numpy_rates_into(xi, theta, ca2, cb2, tp, im, out)
     sn, ct = _sincos(theta)
     ex1 = np.exp(-xi)
     exh = np.exp(-0.5 * xi)
@@ -329,7 +320,14 @@ _HALF, _NEG_HALF, _ONE, _TWO = operand(0.5), operand(-0.5), operand(1.0), operan
 
 
 def _numpy_rates_into(xi, theta, ca2, cb2, tp, im, out):
-    """_numpy_rates with out: every line above as ufunc calls, in place."""
+    """_numpy_rates with every line as ufunc calls, in place, into out.
+
+    out is eight float arrays shaped like xi (none of them xi or theta).
+    dxi and dtheta come back in the first two and rho in the third, and
+    the other five are scratch, so the stages of a trial can keep their
+    rates apart in their own first pairs and share the other six arrays,
+    rho included.  Every value is _numpy_rates's to the bit.
+    """
     dxi, dtheta, rho, w0, w1, w2, w3, w4 = out
     # Local names: a sweep makes this call six times.
     multiply, add, exp = np.multiply, np.add, np.exp
@@ -358,21 +356,22 @@ def make_batch_rhs(source):
     """Vectorized in-plane analogue of make_scalar_rhs for ensembles.
 
     Returns f(tau, xi, theta) mapping equal-length arrays to
-    (dxi, dtheta, 0.0, rho).  tau is an array of times, or a tuple
-    (ca2, cb2, tp, im) of the amplitude terms already evaluated at
-    those times: one of the stage arguments that make_batch_stages
-    gives a trial, which the rates then read as they are.  A fifth
-    entry, if present, is _numpy_rates's out: the rates are then
-    written there instead of into new arrays.  The ensemble
-    carries (xi, theta) and does not propagate phi, so dphi's slot
-    holds 0.0 and no spin is taken (it enters only dphi).  Axis
-    handling is the caller's job (the batch integrator drops
-    trajectories near the axis), so no guard fires here.
+    (dxi, dtheta, 0.0, rho).  tau is an array of times, or a stage
+    argument of the ensemble's sweep: the tuple (ca2, cb2, tp, im, out)
+    of the amplitude terms already evaluated at those times (see
+    make_batch_stages), which the rates read as they are, and the output
+    slot _numpy_rates_into writes them into.  The ensemble carries
+    (xi, theta) and does not propagate phi, so dphi's slot holds 0.0 and
+    no spin is taken (it enters only dphi).  Axis handling is the
+    caller's job (the batch integrator drops trajectories near the
+    axis), so no guard fires here.
     """
     cross = source.cross_terms(np)
 
     def rhs(tau, xi, theta):
-        return _numpy_rates(xi, theta, *(tau if type(tau) is tuple else cross(tau)))
+        if type(tau) is tuple:
+            return _numpy_rates_into(xi, theta, *tau)
+        return _numpy_rates(xi, theta, *cross(tau))
 
     return rhs
 
@@ -384,37 +383,22 @@ _STAGE_COLUMN = np.array(STAGE_C)[:, None]
 def make_batch_stages(source):
     """The amplitude terms of a batch trial's five stage times, in one pass.
 
-    Returns f(t, h) mapping a trial's clocks and steps (equal-length
-    arrays) to dp5_trial's five stage arguments: entry i is the tuple
-    (ca2, cb2, tp, im) of source.cross_terms(np) at t + STAGE_C[i] h,
-    bit for bit.  One call over the stacked (5, m) times pays the terms'
-    numpy dispatch once instead of five times.  It computes them in six
-    work arrays that the closure owns and regrows to the most rows seen,
-    so a sweep allocates none of them.  The tuples hold row views of
-    those arrays, which the next call overwrites.  Analytic and frozen
-    sources; the frozen source's ca2 and cb2 stay floats.
-
-    The (5, m) views and the table of tuples are kept while the row
-    count repeats, and the same table comes back: the terms' work-array
-    path returns its out arrays themselves, so the kept row views see
-    each call's terms.  A new row count builds both again.
+    Returns f(t, h, out) mapping a trial's clocks and steps
+    (equal-length arrays of m rows) to the terms (ca2, cb2, tp, im) of
+    source.cross_terms(np) at the stacked (5, m) times t + STAGE_C h,
+    bit for bit: row i of each is the terms at t + STAGE_C[i] h.  One
+    call over the stacked times pays the terms' numpy dispatch once
+    instead of five times.  out is six (5, m) float arrays that the call
+    computes in, so it allocates none; the terms come back as four of
+    them, the same four on every call, which the next call overwrites.
+    Analytic and frozen sources; the frozen source's ca2 and cb2 stay
+    floats.
     """
     cross = source.cross_terms(np)
-    work = []  # six flat arrays of five times the most rows seen
-    last = [None, None, None]  # the row count, its (5, m) views and its table
 
-    def stages(t, h):
-        m = len(h)
-        if m != last[0]:
-            if not work or work[0].size < 5 * m:
-                work[:] = [np.empty(5 * m) for _ in range(6)]
-            last[:] = m, [w[: 5 * m].reshape(5, m) for w in work], None
-        out = last[1]
+    def stages(t, h, out):
         tau = np.add(t, np.multiply(_STAGE_COLUMN, h, out=out[0]), out=out[0])
-        terms = cross(tau, out)
-        if last[2] is None:
-            last[2] = list(zip(*[(x,) * 5 if isinstance(x, float) else x for x in terms]))
-        return last[2]
+        return cross(tau, out)
 
     return stages
 

@@ -25,6 +25,10 @@ CPU in the affinity mask, and the slices are joined in row order; the
 result is byte-identical for any number of CPUs.  For the same reason a
 sweep may work on whole arrays while every row is still active, and
 gather the active rows through an index once some have finished.
+A sweep steps its rows with stepping.dp5_trial_into, and every per-row
+array it computes lives in work arrays allocated once per call of
+_advance_batch (_SweepWork), the amplitude terms of the trial's stage
+times and the rates of its six rhs calls included.
 
 A batch sweep costs a fixed ~0.17 ms of numpy dispatch however few
 rows it steps, and a cloud's last rows to reach a target (those dwelling
@@ -52,7 +56,15 @@ from .dynamics import AXIS_GUARD, make_batch_rhs, make_batch_stages, make_row_rh
 from .engine import IntegratorConfig
 from .errors import ParameterError
 from .observables import expected_energy, local_energy_array
-from .stepping import MAX_FACTOR, MIN_FACTOR, PI_ALPHA, PI_BETA, SAFETY, dp5_trial
+from .stepping import (
+    MAX_FACTOR,
+    MIN_FACTOR,
+    PI_ALPHA,
+    PI_BETA,
+    SAFETY,
+    dp5_trial,
+    dp5_trial_into,
+)
 from .wavefield import SpatialPoint, check_count, density, gauss_legendre
 
 DEFAULT_SEED = 20260819
@@ -270,29 +282,30 @@ def _advance_batch(
     tau_targets,
     cfg: IntegratorConfig,
 ):
-    """Vectorized DP 5(4) (see dp5_trial) with per-trajectory clocks and steps.
+    """Vectorized DP 5(4) (dp5_trial_into) with per-trajectory clocks and steps.
 
-    The state is (xi, theta); phi is not propagated, dp5_trial's carried
-    slot holds 0.0 and the error norm is the RMS over xi and theta.  The
-    cloud runs forward once through the ascending tau_targets; every row
-    lands exactly on each target, and its step size and controller
-    memory carry over the landing.  Returns one (xi, theta, ok_mask,
-    axis_mask, underflow_mask) per target; the coordinate arrays hold
-    values only where ok_mask is set, and drop-outs accumulate.
+    The state is (xi, theta); phi is not propagated and the error norm
+    is the RMS over xi and theta.  The cloud runs forward once through
+    the ascending tau_targets; every row lands exactly on each target,
+    and its step size and controller memory carry over the landing.
+    Every row's first step is 0.1, raised to min_step and capped at
+    max_step.  Returns one (xi, theta, ok_mask, axis_mask,
+    underflow_mask) per target; the coordinate arrays hold values only
+    where ok_mask is set, and drop-outs accumulate.
 
     rhs is a make_batch_rhs closure and stages a make_batch_stages
-    closure of the same source.  Each sweep's trial takes its stage
-    arguments from one stages call and makes exactly six rhs calls,
-    with the rows as the second argument; each call's argument carries
-    the output slot its rates are written into.  While every row is
+    closure of the same source.  Each sweep computes its trial's stage
+    terms with one stages call, and the trial makes exactly six rhs
+    calls, with the rows as the second argument and a stage argument
+    (the terms and an output slot) as the first.  While every row is
     active, a sweep works on the arrays themselves and stores accepted
     rows through a mask; after that it gathers the active rows by index
     and scatters them back, with the same arithmetic per row.  Every
     per-row array a sweep computes, apart from the gathered rows' index,
-    is written into work arrays allocated here once, at the cloud's row
-    count (_SweepWork); a gathered sweep uses their first entries.  The
-    stage arguments are rebuilt only when the row count changes, the
-    ufunc constants are 0-d arrays (constants.operand), and a masked
+    is written into the work arrays of one _SweepWork, allocated at the
+    cloud's row count as the first segment starts; a gathered sweep
+    uses their first entries.
+    The ufunc constants are 0-d arrays (constants.operand), and a masked
     write is skipped when its mask is empty, as the landing, failure,
     zero-error and just-rejected masks are in most sweeps.  Once fewer
     than TAIL_ROWS rows of a segment are still short of its target,
@@ -304,7 +317,7 @@ def _advance_batch(
     t = np.zeros(n)
     y0 = xi.copy()
     y1 = theta.copy()
-    h = np.full(n, min(0.1, cfg.max_step))
+    h = np.full(n, min(max(0.1, cfg.min_step), cfg.max_step))
     err_prev = np.ones(n)
     just_rej = np.zeros(n, dtype=bool)
     alive = np.ones(n, dtype=bool)
@@ -313,11 +326,7 @@ def _advance_batch(
     active = np.empty(n, dtype=bool)
     rtol, atol = operand(cfg.rel_tol), operand(cfg.abs_tol)
     max_step, min_step = operand(cfg.max_step), operand(cfg.min_step)
-    work = _SweepWork(n)
-    # The last stage table that stages returned, and the six stage
-    # arguments built on it: stages returns the same table, and work the
-    # same slots, while the row count repeats.
-    table = args = None
+    work = None
 
     # Drop anything already hugging the axis.
     bad = np.sin(y1) < AXIS_GUARD
@@ -339,6 +348,10 @@ def _advance_batch(
         # its clock, so every segment starts from a fresh call.
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             stage1 = list(rhs(t, y0, y1)[:2])
+        # Allocated once that call has freed its temporaries, whose pages
+        # the work arrays then reuse: allocated before it, they raised a
+        # 5000-row shard's peak RSS by about 0.3 MB.
+        work = work or _SweepWork(n, stages)
 
         while True:
             np.logical_and(alive, np.less(t, target, out=active), out=active)
@@ -391,14 +404,9 @@ def _advance_batch(
             # error norm and the step is retried smaller, so the transient
             # warnings carry no information.
             with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                # Stages 6 and 7 share their terms but not their slots.
-                terms = stages(ti, hi)
-                if terms is not table:
-                    table = terms
-                    args = [(*terms[min(i, 4)], slot) for i, slot in enumerate(w.slots)]
-                b0, b1, _, k7, e0, e1 = dp5_trial(
-                    rhs, ti, hi, a0, a1, 0.0, (k1x, k1t, 0.0), args, trial
-                )[:6]
+                # w.args view the stage terms that this call computes.
+                stages(ti, hi, w.stage_work)
+                b0, b1, k7, e0, e1, _ = dp5_trial_into(rhs, hi, a0, a1, (k1x, k1t), w.args, trial)
                 # The trial's stage state and scratch arrays are free now.
                 q0, q1, g, f = trial[0], trial[1], trial[6], trial[7]
                 # err = sqrt(((e0 / s0)^2 + (e1 / s1)^2) / 2) with the
@@ -480,25 +488,43 @@ def _advance_batch(
 class _SweepWork:
     """The work arrays of _advance_batch's sweeps, for up to n rows.
 
-    Two blocks, float and bool, with one row per work array, allocated
-    once.  views(m) gives the first m entries of every array, named as
-    the sweep uses them, and keeps them while m repeats:
+    Two blocks, float and bool, with one row per work array, and six
+    flat float arrays of 5 n entries for the stage terms, allocated
+    once.  views(m) gives the first m entries of every array (5 m of a
+    stage array), named as the sweep uses them, and keeps them while m
+    repeats:
 
-    * trial: dp5_trial's eight work arrays;
-    * slots: the six rhs calls' output slots for _numpy_rates, each a
-      pair of its own followed by six arrays that all six share;
+    * trial: dp5_trial_into's eight work arrays;
+    * stage_work: six (5, m) arrays, the out of stages (a
+      make_batch_stages closure), which computes a trial's terms there;
+    * args: dp5_trial_into's six stage arguments, one per rhs call:
+      views of row i of the terms (stages 6 and 7 share row 4, their
+      time) followed by the call's output slot for _numpy_rates_into, a
+      pair of its own and six arrays that all six calls share;
     * gathered: the gathered clock, state, controller memory, stage 1
       and rejection flag of a gathered sweep;
     * hi, rem and err (float) and hits, ok, failed, accept and mask
       (bool; mask holds short-lived comparisons).
+
+    stages returns the same four of its out arrays on every call, or a
+    float for a term that does not vary (the frozen source's ca2 and
+    cb2): which ones is read once, off a call on no rows.
     """
 
     FLOATS = 8 + 2 * 6 + 6 + 6 + 3
     BOOLS = 1 + 5
 
-    def __init__(self, n):
+    def __init__(self, n, stages):
         self._floats = np.empty((self.FLOATS, n))
         self._bools = np.empty((self.BOOLS, n), dtype=bool)
+        self._stage = [np.empty(5 * n) for _ in range(6)]
+        empty = np.empty(0)
+        probe = list(np.empty((6, 5, 0)))
+        ids = [id(a) for a in probe]
+        # Each term's index in stages's out, or the term itself.
+        self._terms = [
+            x if isinstance(x, float) else ids.index(id(x)) for x in stages(empty, empty, probe)
+        ]
         self._m = None
 
     def views(self, m):
@@ -506,8 +532,13 @@ class _SweepWork:
             f = list(self._floats[:, :m])
             b = list(self._bools[:, :m])
             self.trial = f[:8]
+            self.stage_work = [s[: 5 * m].reshape(5, m) for s in self._stage]
+            terms = [(x,) * 5 if isinstance(x, float) else self.stage_work[x] for x in self._terms]
             shared = f[20:26]
-            self.slots = [(f[8 + 2 * i], f[9 + 2 * i], *shared) for i in range(6)]
+            self.args = [
+                (*[x[min(i, 4)] for x in terms], (f[8 + 2 * i], f[9 + 2 * i], *shared))
+                for i in range(6)
+            ]
             self.gathered = f[26:32] + b[:1]
             self.hi, self.rem, self.err = f[32:]
             self.hits, self.ok, self.failed, self.accept, self.mask = b[1:]
@@ -702,9 +733,7 @@ def _shard_count(n: int) -> int:
 def _advance_shard(source, xi, theta, tau_targets, cfg):
     """_advance_batch on one slice of rows, with rhs closures built for it.
 
-    The closures hold a memo or work arrays and cannot be pickled, so
-    every process builds its own; the memo reuses only exactly equal
-    values.
+    Closures cannot be pickled, so every process builds its own.
     """
     rhs = make_batch_rhs(source)
     stages = make_batch_stages(source)

@@ -1,25 +1,23 @@
 """Adaptive Dormand-Prince 5(4) stepping.
 
-One tableau, one trial step and one float PI controller:
+One tableau, one trial step on two paths, and one float PI controller:
 
 * dp5_trial below, one trial step of a state with three slots: two
   that feed the rates and one carried along (for a scalar trajectory,
   xi and theta feed dphi and phi is carried).  It is plain arithmetic
-  on whatever it is given, so the scalar loop in engine.py runs it on
-  Python floats, the batched ensemble loop in ensemble.py on numpy
-  arrays of (xi, theta) with per-trajectory clocks and step sizes and
-  0.0 in the carried slot (the ensemble does not propagate phi), and
-  integrate_array below on a pair of Python complex numbers in the two
-  rate-feeding slots with 0.0 in the carried one.  The rhs's first
-  argument is each stage's time, except in the ensemble's sweep, which
-  passes stage arguments instead: the amplitude terms at the five
-  stage times, computed in one pass (see dp5_trial).  The sweep also
-  hands dp5_trial work arrays, which it then writes into instead of
-  allocating, with the same arithmetic to the bit.  Every loop reuses
-  an accepted step's last stage as the next step's first
-  (first-same-as-last).  The scalar loop samples between its steps
-  with dp5_dense, which builds the step's continuous extension from
-  the stages dp5_trial returns.
+  on whatever it is given (floats, complex numbers or arrays), and the
+  rhs's first argument is each stage's time: the scalar loop in
+  engine.py runs it on Python floats, the ensemble's row loop on one
+  row's floats, and integrate_array below on a pair of Python complex
+  numbers in the two rate-feeding slots with 0.0 in the carried one.
+  The scalar loop samples between its steps with dp5_dense, which
+  builds the step's continuous extension from the stages dp5_trial
+  returns.
+* dp5_trial_into below, the same trial on arrays of (xi, theta) with
+  per-trajectory clocks and step sizes: the ensemble's batch sweep.  It
+  writes every array it makes into the sweep's work arrays, with the
+  operator body's operations in its order, and hands the rhs one stage
+  argument per call in place of the time (see dp5_trial_into).
 * next_step below, the PI step controller on Python floats, shared by
   the scalar loop and integrate_array.  The ensemble's sweep and row
   loop keep their own copy on np.power, which rounds differently from
@@ -27,13 +25,14 @@ One tableau, one trial step and one float PI controller:
 * integrate_array below, a driver for a pair of complex amplitudes
   (the amplitude ODE) that lands on given stop times.
 
-All drivers use the same embedded pair, the same RMS error norm (over
-the real parts they propagate: xi, theta and phi in the scalar loop,
-xi and theta in the ensemble, the real and imaginary parts of the pair
-in integrate_array) with scale atol + rtol*max(|y|, |y_new|), and the
-same PI step control (growth factor safety * err^-0.14 *
-err_prev^0.08, clipped to [0.2, 5], capped at 1 right after a
-rejection).
+Every loop reuses an accepted step's last stage as the next step's
+first (first-same-as-last).  All drivers use the same embedded pair,
+the same RMS error norm (over the real parts they propagate: xi, theta
+and phi in the scalar loop, xi and theta in the ensemble, the real and
+imaginary parts of the pair in integrate_array) with scale atol +
+rtol*max(|y|, |y_new|), and the same PI step control (growth factor
+safety * err^-0.14 * err_prev^0.08, clipped to [0.2, 5], capped at 1
+right after a rejection).
 """
 
 from __future__ import annotations
@@ -121,44 +120,25 @@ PI_BETA = 0.4 / 5.0
 STAGE_C = (C2, C3, C4, C5, 1.0)
 
 
-def dp5_trial(rhs, t, h, xi, theta, phi, k1, stage_args=None, work=None):
+def dp5_trial(rhs, t, h, xi, theta, phi, k1):
     """One Dormand-Prince 5(4) trial step of a trajectory.
 
     rhs(t, xi, theta) returns (dxi, dtheta, dphi) and possibly more,
     which rides along unused (the guidance rhs adds rho); phi does not
     feed back into the rates.  k1 is rhs at (t, xi, theta).  Every
-    argument may be a Python float or an equal-length numpy array: the
-    step is written once, in one operation order, for both.  A state
-    with fewer parts passes constant zeros in the unused slots.
-
-    stage_args, if given, replaces the stage times as rhs's first
-    argument: five values, one per time t + c h for c in STAGE_C, of
-    which stages 6 and 7 both take the last.  The batch sweep passes
-    the amplitude terms at those times, computed in one pass over all
-    five (dynamics.make_batch_stages); its rhs reads them in place of
-    the times.  None passes the times themselves, as the scalar loop
-    and integrate_array do.
+    argument may be a Python float, a complex number or an equal-length
+    numpy array: the step is written once, in one operation order, for
+    all of them.  A state with fewer parts passes constant zeros in the
+    unused slots.
 
     Returns (xi_new, theta_new, phi_new, k7, e_xi, e_theta, e_phi,
     stages): the fifth-order state, rhs evaluated there (stage 1 of the
     next step under first-same-as-last), the embedded error of each
     component, and the stages (k1, k3, k4, k5, k6, k7) that dp5_dense
     needs.  The last two stages are evaluated at one shared time
-    object, t + h (or the last of stage_args).
-
-    work, eight float arrays at least as long as the rows, makes the
-    step write into their first len(xi) entries (see _dp5_trial_into):
-    the arrays path of the batch sweep, which owns them and passes
-    stage_args, and phi and the carried rates as 0.0, which it does not
-    compute.  None runs the operator body below, on floats, complex
-    numbers or arrays.
+    object, t + h.
     """
-    if work is not None:
-        return _dp5_trial_into(rhs, h, xi, theta, k1, stage_args, work)
-    if stage_args is None:
-        s2, s3, s4, s5, s6 = t + C2 * h, t + C3 * h, t + C4 * h, t + C5 * h, t + h
-    else:
-        s2, s3, s4, s5, s6 = stage_args
+    s2, s3, s4, s5, s6 = t + C2 * h, t + C3 * h, t + C4 * h, t + C5 * h, t + h
     k2 = rhs(s2, xi + h * (A21 * k1[0]), theta + h * (A21 * k1[1]))
     k3 = rhs(
         s3,
@@ -199,7 +179,7 @@ def dp5_trial(rhs, t, h, xi, theta, phi, k1, stage_args=None, work=None):
     return xi_new, theta_new, phi_new, k7, e_xi, e_theta, e_phi, (k1, k3, k4, k5, k6, k7)
 
 
-# The tableau's rows, as _dp5_trial_into sums them: stages 2 to 6, the
+# The tableau's rows, as dp5_trial_into sums them: stages 2 to 6, the
 # fifth-order solution and the error (over k1, k3, ..., k7), as ufunc
 # operands.
 _A_ROWS = tuple(
@@ -212,30 +192,28 @@ _B_ROW = tuple(map(operand, (B1, B3, B4, B5, B6)))
 _E_ROW = tuple(map(operand, (E1, E3, E4, E5, E6, E7)))
 
 
-def _dp5_trial_into(rhs, h, xi, theta, k1, stage_args, work):
-    """dp5_trial on arrays, writing every array it makes into work.
+def dp5_trial_into(rhs, h, xi, theta, k1, stage_args, work):
+    """dp5_trial on arrays of (xi, theta), writing every array it makes into work.
 
     Each sum is the operator body's, term by term and left to right,
     as ufunc calls with out=, so every value is the same to the bit.
-    work holds, in order, the stage state (two arrays, overwritten by
-    each stage), the new state, the errors and two scratch arrays; the
-    xi_new, theta_new, e_xi and e_theta returned are views of them,
-    which the next trial on the same work overwrites.  Each stage
-    overwrites the stage state, so the rates rhs returns must not be
-    views of its state arguments.
+    k1 is the pair (dxi, dtheta) at the start; there is no carried slot.
+    stage_args are six, one per rhs call in order (stages 2 to 7), each
+    passed to rhs where dp5_trial passes the stage time: the batch sweep
+    passes the amplitude terms at the stage times with the output slot
+    that call's rates are written into (see dynamics.make_batch_rhs), so
+    stages 6 and 7, which share a time, share terms but not slots.
 
-    stage_args are required here, and may hold six entries instead of
-    five, one per rhs call, so that stages 6 and 7, which share a time,
-    can carry different arguments: the batch sweep gives each call its
-    own output slot for the rates (see dynamics._numpy_rates).  The
-    carried slot is not computed: the batch sweep, the one caller,
-    passes phi = 0.0 and rates with 0.0 there, and phi_new and e_phi
-    come back as 0.0.
+    work holds eight float arrays shaped like xi: the stage state (two
+    arrays, overwritten by each stage), the new state, the errors and
+    two scratch arrays.  Each stage overwrites the stage state, so the
+    rates rhs returns must not be views of its state arguments.
+
+    Returns (xi_new, theta_new, k7, e_xi, e_theta, stages) as dp5_trial
+    does, without the carried slot; the state and errors are work's
+    arrays, which the next trial on the same work overwrites.
     """
-    m = len(xi)
-    ys0, ys1, xi_new, theta_new, e_xi, e_theta, acc, tmp = [w[:m] for w in work]
-    s2, s3, s4, s5, s6, *s7 = stage_args
-    s7 = s7[0] if s7 else s6
+    ys0, ys1, xi_new, theta_new, e_xi, e_theta, acc, tmp = work
 
     # Local names: a trial makes about 140 of these calls.
     multiply, add = np.multiply, np.add
@@ -250,7 +228,7 @@ def _dp5_trial_into(rhs, h, xi, theta, k1, stage_args, work):
         return add(y, multiply(h, acc, out=acc), out=out)
 
     ks = [k1]
-    for s, weights in zip((s2, s3, s4, s5, s6), _A_ROWS):
+    for s, weights in zip(stage_args, _A_ROWS):
         combine(ys0, xi, weights, ks, 0)
         combine(ys1, theta, weights, ks, 1)
         ks.append(rhs(s, ys0, ys1))
@@ -258,11 +236,11 @@ def _dp5_trial_into(rhs, h, xi, theta, k1, stage_args, work):
     high = (k1, k3, k4, k5, k6)
     combine(xi_new, xi, _B_ROW, high, 0)
     combine(theta_new, theta, _B_ROW, high, 1)
-    k7 = rhs(s7, xi_new, theta_new)
+    k7 = rhs(stage_args[5], xi_new, theta_new)
     stages = (k1, k3, k4, k5, k6, k7)
     combine(e_xi, None, _E_ROW, stages, 0)
     combine(e_theta, None, _E_ROW, stages, 1)
-    return xi_new, theta_new, 0.0, k7, e_xi, e_theta, 0.0, stages
+    return xi_new, theta_new, k7, e_xi, e_theta, stages
 
 
 def next_step(h, err, err_prev, just_rejected):

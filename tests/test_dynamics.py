@@ -39,6 +39,7 @@ from pilotwave import (
 from pilotwave.dynamics import (
     SPIN_UP,
     _numpy_rates,
+    _numpy_rates_into,
     _sincos,
     continuity_defect,
     make_batch_rhs,
@@ -251,7 +252,7 @@ def test_rates_into_work_arrays_equal_allocating_rates_bitwise(reference_drive, 
     terms = source.cross_terms(np)(tau)
     want = _numpy_rates(xi, theta, *terms)
     out = [np.full(n, np.nan) for _ in range(8)]
-    got = _numpy_rates(xi, theta, *terms, out)
+    got = _numpy_rates_into(xi, theta, *terms, out)
     assert got[0] is out[0] and got[1] is out[1] and got[3] is out[2]
     assert got[2] == want[2] == 0.0
     for g, w in zip(got, want):

@@ -310,6 +310,17 @@ def test_step_underflow_dropouts_raise():
     assert excinfo.value.summary.dropout_underflow == n
 
 
+@pytest.mark.parametrize("min_step", [0.11, 0.5])
+def test_first_step_respects_min_step(reference_drive, min_step):
+    # Every row's first step is at least min_step.  Started at 0.1, each
+    # row would underflow at tau = 0 without taking a step, and all 50
+    # would drop out.  At the ensemble's usual tolerances the error
+    # control never asks these rows for a step below 0.5 by tau = 20.
+    cfg = IntegratorConfig(rel_tol=1e-6, abs_tol=1e-9, min_step=min_step)
+    (summary,) = evolve_targets(sample_arrays(50, 3), (20.0,), reference_drive, cfg)
+    assert summary.dropout_count == 0
+
+
 def test_needs_drive_or_source():
     points = sample_arrays(10, seed=1)
     with pytest.raises(ParameterError):

@@ -2,9 +2,10 @@
 drivers built on them.
 
 stepping.dp5_trial is written once for Python floats (the scalar
-engine) and numpy arrays (the batched ensemble), so the two drivers
-differ only in their step control: they must agree on the same
-trajectories to within their tolerance.  The batch driver finishes its
+engine) and numpy arrays, and the batched ensemble's sweep runs the
+same operations in place (stepping.dp5_trial_into), bit for bit; so
+the two drivers differ only in their step control: they must agree on
+the same trajectories to within their tolerance.  The batch driver finishes its
 last few rows one at a time (ensemble.TAIL_ROWS); that row loop must
 give the sweep's result byte for byte.  integrate_array, which runs
 the same trial step on a pair of complex numbers, is checked against
@@ -35,7 +36,14 @@ from pilotwave.dynamics import (
     make_scalar_rhs,
 )
 from pilotwave.ensemble import SHARD_MIN_ROWS, TAIL_ROWS, _advance_batch, sample_arrays
-from pilotwave.stepping import STAGE_C, dense_state, dp5_dense, dp5_trial, integrate_array
+from pilotwave.stepping import (
+    STAGE_C,
+    dense_state,
+    dp5_dense,
+    dp5_trial,
+    dp5_trial_into,
+    integrate_array,
+)
 
 
 def _arith_rhs(t, x, y):
@@ -222,29 +230,24 @@ def test_last_stage_is_the_rate_at_the_new_state(reference_drive):
         _same(k7, make_batch_rhs(source)(t + h, xi_new, theta_new))
 
 
-def test_batch_rhs_reuses_cross_terms_only_at_equal_times(reference_drive):
+def test_batch_rhs_reads_each_calls_own_times(reference_drive):
     xi, theta, _ = sample_arrays(16, 4)
     tau = np.linspace(10.0, 12.0, 16)
     for source in _sources(reference_drive):
         rhs = make_batch_rhs(source)
         rhs(tau, xi, theta)
-        # The same array changed in place: the cross terms are recomputed.
+        # The same array changed in place: the call reads the new times.
         tau += 0.25
         _same(rhs(tau, xi, theta), make_batch_rhs(source)(tau, xi, theta))
-        # Equal times in a new array: the cached cross terms are exact.
+        # Equal times in a new array give the same rates.
         _same(rhs(tau.copy(), xi, theta), make_batch_rhs(source)(tau, xi, theta))
-        # A first call with no rows has nothing cached to match.
+        # A call with no rows gives empty rates.
         empty = make_batch_rhs(source)(np.empty(0), np.empty(0), np.empty(0))
         assert [np.shape(k) for k in empty] == [(0,), (0,), (), (0,)]
 
 
-def _trial_bytes(trial):
-    # Every array of a dp5_trial result: state, errors and the stages
-    # k1, k3, ..., k7 that dense output reads (k7 among them).
-    xi_new, theta_new, phi_new, _, e_xi, e_theta, e_phi, stages = trial
-    arrays = [xi_new, theta_new, phi_new, e_xi, e_theta, e_phi]
-    arrays += [a for k in stages for a in k]
-    return [np.asarray(a).tobytes() for a in arrays]
+def _stage_work(m):
+    return [np.full((5, m), np.nan) for _ in range(6)]
 
 
 @pytest.mark.parametrize("kind", ["analytic", "frozen"])
@@ -257,106 +260,56 @@ def test_stage_table_rows_equal_cross_terms_bitwise(reference_drive, kind):
     t = rng.uniform(0.0, 2e4, 3000)
     h = rng.uniform(1e-6, 2.0, 3000)
     cross = source.cross_terms(np)
-    table = make_batch_stages(source)(t, h)
-    assert len(table) == len(STAGE_C) == 5
-    for c, row in zip(STAGE_C, table):
+    terms = make_batch_stages(source)(t, h, _stage_work(3000))
+    assert len(terms) == 4 and len(STAGE_C) == 5
+    for i, c in enumerate(STAGE_C):
         want = cross(t + c * h)
-        assert len(row) == len(want) == 4
-        for got, w in zip(row, want):
+        for got, w in zip(terms, want):
+            got = got if isinstance(got, float) else got[i]
             assert type(got) is type(w)
             assert np.asarray(got).tobytes() == np.asarray(w).tobytes()
 
 
 @pytest.mark.parametrize("kind", ["analytic", "frozen"])
-def test_trial_on_stage_arguments_equals_trial_on_times_bitwise(reference_drive, kind):
-    # The sweep's trial, on whole rows and on gathered ones (a smaller
-    # call after a larger one, so the work arrays are reused).
-    source = _source(kind, reference_drive)
-    rng = np.random.default_rng(12)
-    xi, theta, _ = sample_arrays(64, 9)
-    t = rng.uniform(0.0, 3000.0, 64)
-    h = rng.uniform(0.01, 1.0, 64)
-    rhs = make_batch_rhs(source)
-    stages = make_batch_stages(source)
-    gathered = np.nonzero(rng.random(64) < 0.5)[0]
-    for rows in (slice(None), gathered):
-        ti, hi, a0, a1 = t[rows], h[rows], xi[rows], theta[rows]
-        k1 = rhs(ti, a0, a1)
-        on_times = dp5_trial(rhs, ti, hi, a0, a1, 0.0, k1)
-        on_stages = dp5_trial(rhs, ti, hi, a0, a1, 0.0, k1, stages(ti, hi))
-        assert _trial_bytes(on_stages) == _trial_bytes(on_times)
-
-
-@pytest.mark.parametrize("kind", ["analytic", "frozen"])
-def test_stage_work_arrays_grow_with_the_row_count(reference_drive, kind):
-    # A call with more rows than any before gets new work arrays; one
-    # with fewer reuses them.  Each gives the source's terms.
-    source = _source(kind, reference_drive)
-    rng = np.random.default_rng(13)
-    t = rng.uniform(0.0, 500.0, 200)
-    h = rng.uniform(0.01, 1.0, 200)
-    stages = make_batch_stages(source)
-    cross = source.cross_terms(np)
-    tables = {}
-    for m in (8, 200, 16):
-        tables[m] = stages(t[:m], h[:m])
-        for c, row in zip(STAGE_C, tables[m]):
-            for got, want in zip(row, cross(t[:m] + c * h[:m])):
-                assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
-    tp = {m: table[0][2] for m, table in tables.items()}
-    assert tp[8].shape == (8,) and tp[200].shape == (200,) and tp[16].shape == (16,)
-    assert not np.shares_memory(tp[8], tp[200])
-    assert np.shares_memory(tp[16], tp[200])
-
-
-@pytest.mark.parametrize("kind", ["analytic", "frozen"])
 def test_stage_table_follows_each_call_at_a_repeated_row_count(reference_drive, kind):
-    # The (5, m) views and the table are kept while the row count
-    # repeats: a later call at the same count, at other times, still
-    # gives its own times' terms, and so does a call at a new count.
+    # _SweepWork keeps its stage views and the six stage arguments while
+    # the row count repeats, and builds them again for a new count.
+    # After each stages call into those views, at other times each,
+    # argument i holds the terms at t + STAGE_C[min(i, 4)] h, and its
+    # output slot has a pair of its own and six arrays shared by all six.
     source = _source(kind, reference_drive)
     rng = np.random.default_rng(14)
     stages = make_batch_stages(source)
+    work = ensemble._SweepWork(64, stages)
     cross = source.cross_terms(np)
-    for m, start in ((40, 0.0), (40, 900.0), (40, 1.5e4), (24, 1200.0), (24, 30.0)):
+    last = (None, None)
+    for m, start in ((40, 0.0), (40, 900.0), (40, 1.5e4), (24, 1200.0), (24, 30.0), (40, 500.0)):
         t = rng.uniform(start, start + 100.0, m)
         h = rng.uniform(0.01, 1.0, m)
-        for c, row in zip(STAGE_C, stages(t, h)):
-            for got, want in zip(row, cross(t + c * h)):
+        w = work.views(m)
+        assert (w.args is last[1]) == (m == last[0])
+        last = (m, w.args)
+        stages(t, h, w.stage_work)
+        assert len(w.args) == 6
+        for i, arg in enumerate(w.args):
+            *got_terms, slot = arg
+            for got, want in zip(got_terms, cross(t + STAGE_C[min(i, 4)] * h)):
                 assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
-
-
-@pytest.mark.parametrize("kind", ["analytic", "frozen"])
-def test_later_trial_leaves_earlier_stages_unchanged(reference_drive, kind):
-    # The stage arguments are views of work arrays that the next trial
-    # overwrites; the rates, states and errors a trial returns are its own.
-    source = _source(kind, reference_drive)
-    xi, theta, _ = sample_arrays(32, 10)
-    t = np.linspace(100.0, 140.0, 32)
-    h = np.full(32, 0.4)
-    rhs = make_batch_rhs(source)
-    stages = make_batch_stages(source)
-    first = dp5_trial(rhs, t, h, xi, theta, 0.0, rhs(t, xi, theta), stages(t, h))
-    before = _trial_bytes(first)
-    t2 = t + 7.0
-    dp5_trial(rhs, t2, h, xi, theta, 0.0, rhs(t2, xi, theta), stages(t2, h))
-    assert _trial_bytes(first) == before
-
-
-def _work_arrays(count, rows):
-    # Longer than the rows, and full of NaN, so a read of an entry that
-    # was not written shows.
-    return [np.full(rows, np.nan) for _ in range(count)]
+            assert len(slot) == 8 and all(a.shape == (m,) for a in slot)
+            assert all(a is b for a, b in zip(slot[2:], w.args[0][-1][2:]))
+        own = [a for arg in w.args for a in arg[-1][:2]]
+        for j, a in enumerate(own):
+            assert not any(np.shares_memory(a, b) for b in own[j + 1:])
 
 
 @pytest.mark.parametrize("kind", ["analytic", "frozen"])
 def test_trial_into_work_arrays_equals_operator_trial_bitwise(reference_drive, kind):
-    # dp5_trial with work arrays, on rows that include NaN and +-inf
-    # states, against the operator body on the same rows: with the five
-    # stage arguments, and with six that carry each rhs call's output
-    # slot (as the sweep passes them).  Whole rows first, then a
-    # gathered subset in the same longer work arrays.  The carried slot
-    # (phi and dphi all 0.0) is not computed.
+    # dp5_trial_into with the sweep's stage arguments and work arrays,
+    # on rows that include NaN and +-inf states, against the operator
+    # body dp5_trial on the stage times: the state, the errors and each
+    # stage's rates.  Whole rows first, then a gathered subset in the
+    # first entries of the same work arrays, which start out NaN so
+    # that a read of an entry that was not written shows.
     source = _source(kind, reference_drive)
     rng = np.random.default_rng(15)
     n = 64
@@ -367,32 +320,27 @@ def test_trial_into_work_arrays_equals_operator_trial_bitwise(reference_drive, k
     h = rng.uniform(0.01, 1.0, n)
     rhs = make_batch_rhs(source)
     stages = make_batch_stages(source)
-    trial_work = _work_arrays(8, n + 16)
-    slot_work = _work_arrays(12 + 6, n + 16)
+    work = ensemble._SweepWork(n, stages)
+    for a in (work._floats, *work._stage):
+        a.fill(np.nan)
     gathered = np.union1d([0, 3, 4], np.nonzero(rng.random(n) < 0.5)[0])
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for rows in (slice(None), gathered):
             ti, hi, a0, a1 = t[rows], h[rows], xi[rows], theta[rows]
-            m = len(ti)
             k1 = rhs(ti, a0, a1)
-            want = dp5_trial(rhs, ti, hi, a0, a1, 0.0, k1, stages(ti, hi))
-            shared = [w[:m] for w in slot_work[12:]]
-            slots = [(slot_work[2 * i][:m], slot_work[2 * i + 1][:m], *shared) for i in range(6)]
-            terms = stages(ti, hi)
-            for stage_args in (
-                terms,
-                [(*terms[min(i, 4)], slot) for i, slot in enumerate(slots)],
-            ):
-                got = dp5_trial(rhs, ti, hi, a0, a1, 0.0, k1, stage_args, trial_work)
-                assert got[2] == got[6] == 0.0
-                for i in (0, 1, 4, 5):
-                    assert got[i].tobytes() == want[i].tobytes()
-                    assert np.shares_memory(got[i], trial_work[i + 2 if i < 2 else i])
-                # Rates only: with output slots, rho is scratch that the
-                # next stage overwrites.
-                for g, w in zip(got[7], want[7]):
-                    assert g[0].tobytes() == w[0].tobytes()
-                    assert g[1].tobytes() == w[1].tobytes()
+            want = dp5_trial(rhs, ti, hi, a0, a1, 0.0, k1)
+            w = work.views(len(ti))
+            stages(ti, hi, w.stage_work)
+            got = dp5_trial_into(rhs, hi, a0, a1, k1[:2], w.args, w.trial)
+            # The state and errors are work's arrays, k7's rates its slot's.
+            for i, j in ((0, 0), (1, 1), (3, 4), (4, 5)):
+                assert got[i].tobytes() == want[j].tobytes()
+                assert got[i] is w.trial[i + 2 if i < 2 else i + 1]
+            assert got[2][0] is w.args[5][-1][0] and got[2][1] is w.args[5][-1][1]
+            # Rates only: rho is scratch that the next stage overwrites.
+            for g, k in zip(got[5], want[7]):
+                assert g[0].tobytes() == k[0].tobytes()
+                assert g[1].tobytes() == k[1].tobytes()
             assert np.isnan(want[0]).any() and np.isnan(want[4]).any()
 
 
