@@ -24,23 +24,22 @@ wavefield gradient routines.  guidance_current writes the same algebra
 once in closed form, as the current rho v and the density, on Python
 floats; make_scalar_rhs (the integrator hot loop) and pauli_current
 divide its output instead of repeating it.  No ensemble statistic reads
-phi, so make_batch_rhs gives only dxi and dtheta (0.0 as dphi), from
-_numpy_rates: guidance_current's in-plane lines on arrays, kept apart
-so that the float path pays no extra call or branch per evaluation.
-make_row_rhs runs make_batch_rhs's numpy code on one row's floats, bit
-for bit, for the ensemble's last few rows.  The amplitude terms
+phi, so the ensemble's rhs gives only dxi and dtheta (0.0 as dphi):
+_numpy_rates is guidance_current's in-plane lines on arrays, kept apart
+so that the float path pays no extra call or branch per evaluation,
+and _numpy_rates_into the same lines in place.  The amplitude terms
 |c_a|^2, |c_b|^2 and c_a* c_b e^(-i tau) that the rhs builders use come
 from the coefficient source's own cross_terms(xp), on floats
 (xp = math) or arrays (xp = numpy); see drive.
 
-The batch rhs has one argument per path.  Given an array of times, it
-evaluates the terms there and allocates its rates.  In the ensemble's
-sweep, stepping.dp5_trial_into hands it instead one stage argument per
-call: the terms at that stage's time, which make_batch_stages computes
-for a trial's five stage times in one pass, and an output slot, work
-arrays that _numpy_rates_into writes the call's rates into.  The rhs is
-still called six times per trial with the rows second.  The scalar and
-row rhs take times only.
+The scalar rhs and the row rhs take times.  make_batch_rhs takes one
+stage argument per call instead, built by the ensemble's sweep: the
+terms already evaluated at the rows' times and an output slot, work
+arrays that _numpy_rates_into writes the call's rates into.  The sweep
+calls it once to start each segment and six times per trial, with the
+rows second.  make_row_rhs runs _numpy_rates on one row's floats, for
+the ensemble's last few rows, and gives the batch rhs's values for that
+row bit for bit.
 
 Sines and cosines: the numpy path takes theta's pair from one tangent
 of its half angle, drive._sincos, as the sources' numpy terms do,
@@ -85,7 +84,6 @@ from .errors import (
     OffSheetError,
     ParameterError,
 )
-from .stepping import STAGE_C
 from .wavefield import (
     BETA,
     N1,
@@ -352,62 +350,33 @@ def _numpy_rates_into(xi, theta, ca2, cb2, tp, im, out):
     return dxi, dtheta, 0.0, rho
 
 
-def make_batch_rhs(source):
+def make_batch_rhs():
     """Vectorized in-plane analogue of make_scalar_rhs for ensembles.
 
-    Returns f(tau, xi, theta) mapping equal-length arrays to
-    (dxi, dtheta, 0.0, rho).  tau is an array of times, or a stage
-    argument of the ensemble's sweep: the tuple (ca2, cb2, tp, im, out)
-    of the amplitude terms already evaluated at those times (see
-    make_batch_stages), which the rates read as they are, and the output
-    slot _numpy_rates_into writes them into.  The ensemble carries
-    (xi, theta) and does not propagate phi, so dphi's slot holds 0.0 and
-    no spin is taken (it enters only dphi).  Axis handling is the
-    caller's job (the batch integrator drops trajectories near the
-    axis), so no guard fires here.
+    Returns f(arg, xi, theta) mapping equal-length arrays to
+    (dxi, dtheta, 0.0, rho).  arg is a stage argument of the ensemble's
+    sweep, the tuple (ca2, cb2, tp, im, out): the amplitude terms
+    already evaluated at the rows' times, which the rates read as they
+    are, and the output slot that _numpy_rates_into writes them into.
+    The terms come with the argument, so no source is taken; the
+    ensemble carries (xi, theta) and does not propagate phi, so dphi's
+    slot holds 0.0 and no spin is taken either (it enters only dphi).
+    Axis handling is the caller's job (the batch integrator drops
+    trajectories near the axis), so no guard fires here.
     """
-    cross = source.cross_terms(np)
 
-    def rhs(tau, xi, theta):
-        if type(tau) is tuple:
-            return _numpy_rates_into(xi, theta, *tau)
-        return _numpy_rates(xi, theta, *cross(tau))
+    def rhs(arg, xi, theta):
+        return _numpy_rates_into(xi, theta, *arg)
 
     return rhs
 
 
-# STAGE_C as a column, to stack a trial's five stage times as rows.
-_STAGE_COLUMN = np.array(STAGE_C)[:, None]
-
-
-def make_batch_stages(source):
-    """The amplitude terms of a batch trial's five stage times, in one pass.
-
-    Returns f(t, h, out) mapping a trial's clocks and steps
-    (equal-length arrays of m rows) to the terms (ca2, cb2, tp, im) of
-    source.cross_terms(np) at the stacked (5, m) times t + STAGE_C h,
-    bit for bit: row i of each is the terms at t + STAGE_C[i] h.  One
-    call over the stacked times pays the terms' numpy dispatch once
-    instead of five times.  out is six (5, m) float arrays that the call
-    computes in, so it allocates none; the terms come back as four of
-    them, the same four on every call, which the next call overwrites.
-    Analytic and frozen sources; the frozen source's ca2 and cb2 stay
-    floats.
-    """
-    cross = source.cross_terms(np)
-
-    def stages(t, h, out):
-        tau = np.add(t, np.multiply(_STAGE_COLUMN, h, out=out[0]), out=out[0])
-        return cross(tau, out)
-
-    return stages
-
-
 def make_row_rhs(source):
-    """make_batch_rhs for one trajectory, called with Python floats.
+    """The batch rhs for one trajectory, called with a time and Python floats.
 
-    The same numpy arithmetic runs on scalars, so each value equals the
-    batch rhs's value for that row bit for bit; (dxi, dtheta, 0.0, rho)
+    The terms come from source.cross_terms(np) at tau, and the batch
+    rhs's numpy arithmetic (_numpy_rates) runs on scalars, so each value
+    equals the batch rhs's value for that row bit for bit; (dxi, dtheta, 0.0, rho)
     come back as Python floats, which the caller's arithmetic runs
     faster on.  The math module would not do: math.exp and np.exp round
     differently for a few percent of arguments.

@@ -25,10 +25,12 @@ CPU in the affinity mask, and the slices are joined in row order; the
 result is byte-identical for any number of CPUs.  For the same reason a
 sweep may work on whole arrays while every row is still active, and
 gather the active rows through an index once some have finished.
-A sweep steps its rows with stepping.dp5_trial_into, and every per-row
-array it computes lives in work arrays allocated once per call of
-_advance_batch (_SweepWork), the amplitude terms of the trial's stage
-times and the rates of its six rhs calls included.
+A sweep steps its rows with stepping.dp5_trial_into and rates from
+dynamics.make_batch_rhs.  Every per-row array the batch driver computes
+lives in work arrays allocated once per call of _advance_batch
+(_SweepWork), which also evaluates every amplitude term the rates read:
+those at the rows' clocks that start each segment, and those at each
+trial's stage times.
 
 A batch sweep costs a fixed ~0.17 ms of numpy dispatch however few
 rows it steps, and a cloud's last rows to reach a target (those dwelling
@@ -52,7 +54,7 @@ import numpy as np
 
 from .constants import E1_EV, E2_EV, operand
 from .drive import AnalyticSource, CoefficientState, DriveParameters, NumericSource
-from .dynamics import AXIS_GUARD, make_batch_rhs, make_batch_stages, make_row_rhs
+from .dynamics import AXIS_GUARD, make_batch_rhs, make_row_rhs
 from .engine import IntegratorConfig
 from .errors import ParameterError
 from .observables import expected_energy, local_energy_array
@@ -62,6 +64,7 @@ from .stepping import (
     PI_ALPHA,
     PI_BETA,
     SAFETY,
+    STAGE_C,
     dp5_trial,
     dp5_trial_into,
 )
@@ -163,9 +166,11 @@ class EnsembleSummary:
 
 
 def sample_arrays(count: int, seed: int = DEFAULT_SEED):
-    """Draw (xi, theta, phi) arrays from the tau = 0 density."""
-    if count < 1:
-        raise ParameterError("count must be at least 1, got %r" % (count,))
+    """Draw (xi, theta, phi) arrays from the tau = 0 density.
+
+    count must be a positive int (ParameterError otherwise).
+    """
+    check_count("count", count)
     rng = np.random.Generator(np.random.Philox(seed))
     # Gamma(3, rate 2) as a sum of three exponentials; 1 - U keeps the
     # uniforms away from exactly zero.
@@ -271,12 +276,12 @@ _AXIS_LO, _AXIS_HI = operand(1e-3), operand(3.14)
 _ERR_TINY, _ERR_FLOOR = operand(1e-300), operand(1e-4)
 _SAFETY, _NEG_ALPHA, _BETA = operand(SAFETY), operand(-PI_ALPHA), operand(PI_BETA)
 _MIN_FACTOR, _MAX_FACTOR = operand(MIN_FACTOR), operand(MAX_FACTOR)
+# STAGE_C as a column, to stack a trial's five stage times as rows.
+_STAGE_COLUMN = np.array(STAGE_C)[:, None]
 
 
 def _advance_batch(
-    rhs,
-    stages,
-    row_rhs,
+    source,
     xi: np.ndarray,
     theta: np.ndarray,
     tau_targets,
@@ -293,27 +298,31 @@ def _advance_batch(
     underflow_mask) per target; the coordinate arrays hold values only
     where ok_mask is set, and drop-outs accumulate.
 
-    rhs is a make_batch_rhs closure and stages a make_batch_stages
-    closure of the same source.  Each sweep computes its trial's stage
-    terms with one stages call, and the trial makes exactly six rhs
-    calls, with the rows as the second argument and a stage argument
-    (the terms and an output slot) as the first.  While every row is
-    active, a sweep works on the arrays themselves and stores accepted
-    rows through a mask; after that it gathers the active rows by index
-    and scatters them back, with the same arithmetic per row.  Every
-    per-row array a sweep computes, apart from the gathered rows' index,
-    is written into the work arrays of one _SweepWork, allocated at the
-    cloud's row count as the first segment starts; a gathered sweep
-    uses their first entries.
+    source is an analytic or frozen coefficient source.  The rates come
+    from a make_batch_rhs closure and the amplitude terms they read from
+    one _SweepWork, allocated at the cloud's row count before the first
+    segment: every batch rhs call, the segment start and the trial's
+    six, takes the rows as its second argument and a stage argument of
+    the work's (the terms and an output slot) as its first.  While
+    every row is active, a sweep works on the arrays themselves and
+    stores accepted rows through a mask; after that it gathers the
+    active rows by index and scatters them back, with the same
+    arithmetic per row.  Every per-row array a sweep computes, apart
+    from the gathered rows' index, is written into the work's arrays; a
+    gathered sweep uses their first entries.
     The ufunc constants are 0-d arrays (constants.operand), and a masked
     write is skipped when its mask is empty, as the landing, failure,
     zero-error and just-rejected masks are in most sweeps.  Once fewer
     than TAIL_ROWS rows of a segment are still short of its target,
-    each of them is finished alone (_finish_row) with row_rhs, a
-    make_row_rhs closure of the same source; the result is the same,
-    byte for byte.
+    each of them is finished alone (_finish_row) with a make_row_rhs
+    closure of the source; the result is the same, byte for byte.
+    make_batch_rhs and make_row_rhs are looked up in this module at
+    each call, so a caller can wrap either there.
     """
+    rhs = make_batch_rhs()
+    row_rhs = make_row_rhs(source)
     n = len(xi)
+    work = _SweepWork(n, source.cross_terms(np))
     t = np.zeros(n)
     y0 = xi.copy()
     y1 = theta.copy()
@@ -326,7 +335,6 @@ def _advance_batch(
     active = np.empty(n, dtype=bool)
     rtol, atol = operand(cfg.rel_tol), operand(cfg.abs_tol)
     max_step, min_step = operand(cfg.max_step), operand(cfg.min_step)
-    work = None
 
     # Drop anything already hugging the axis.
     bad = np.sin(y1) < AXIS_GUARD
@@ -347,11 +355,7 @@ def _advance_batch(
         # stage evaluated at ti + (target - ti), which can be an ulp off
         # its clock, so every segment starts from a fresh call.
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            stage1 = list(rhs(t, y0, y1)[:2])
-        # Allocated once that call has freed its temporaries, whose pages
-        # the work arrays then reuse: allocated before it, they raised a
-        # 5000-row shard's peak RSS by about 0.3 MB.
-        work = work or _SweepWork(n, stages)
+            stage1 = rhs(work.start(t), y0, y1)[:2]
 
         while True:
             np.logical_and(alive, np.less(t, target, out=active), out=active)
@@ -405,7 +409,7 @@ def _advance_batch(
             # warnings carry no information.
             with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
                 # w.args view the stage terms that this call computes.
-                stages(ti, hi, w.stage_work)
+                work.stage_terms(ti, hi)
                 b0, b1, k7, e0, e1, _ = dp5_trial_into(rhs, hi, a0, a1, (k1x, k1t), w.args, trial)
                 # The trial's stage state and scratch arrays are free now.
                 q0, q1, g, f = trial[0], trial[1], trial[6], trial[7]
@@ -490,13 +494,23 @@ class _SweepWork:
 
     Two blocks, float and bool, with one row per work array, and six
     flat float arrays of 5 n entries for the stage terms, allocated
-    once.  views(m) gives the first m entries of every array (5 m of a
+    once.  cross is the source's cross_terms(np), which computes every
+    amplitude term the sweep reads into the stage arrays:
+
+    * start(t) gives the stage argument of a segment's first rhs call:
+      the terms at the rows' clocks t, in the first n entries of the
+      stage arrays, and an output slot of k1's pair (two rows of the
+      float block that carry stage 1 of each row's next trial across
+      segments) and six scratch arrays;
+    * stage_terms(t, h) computes the terms at a trial's five stage times
+      t + STAGE_C h into stage_work, for the m rows of the last views.
+
+    views(m) gives the first m entries of every other array (5 m of a
     stage array), named as the sweep uses them, and keeps them while m
     repeats:
 
     * trial: dp5_trial_into's eight work arrays;
-    * stage_work: six (5, m) arrays, the out of stages (a
-      make_batch_stages closure), which computes a trial's terms there;
+    * stage_work: six (5, m) arrays, the out of stage_terms's cross call;
     * args: dp5_trial_into's six stage arguments, one per rhs call:
       views of row i of the terms (stages 6 and 7 share row 4, their
       time) followed by the call's output slot for _numpy_rates_into, a
@@ -506,26 +520,36 @@ class _SweepWork:
     * hi, rem and err (float) and hits, ok, failed, accept and mask
       (bool; mask holds short-lived comparisons).
 
-    stages returns the same four of its out arrays on every call, or a
+    cross returns the same four of its out arrays on every call, or a
     float for a term that does not vary (the frozen source's ca2 and
     cb2): which ones is read once, off a call on no rows.
     """
 
-    FLOATS = 8 + 2 * 6 + 6 + 6 + 3
+    FLOATS = 8 + 2 * 6 + 6 + 6 + 3 + 2
     BOOLS = 1 + 5
 
-    def __init__(self, n, stages):
+    def __init__(self, n, cross):
         self._floats = np.empty((self.FLOATS, n))
         self._bools = np.empty((self.BOOLS, n), dtype=bool)
         self._stage = [np.empty(5 * n) for _ in range(6)]
-        empty = np.empty(0)
-        probe = list(np.empty((6, 5, 0)))
+        self._cross = cross
+        probe = list(np.empty((6, 0)))
         ids = [id(a) for a in probe]
-        # Each term's index in stages's out, or the term itself.
+        # Each term's index in cross's out, or the term itself.
         self._terms = [
-            x if isinstance(x, float) else ids.index(id(x)) for x in stages(empty, empty, probe)
+            x if isinstance(x, float) else ids.index(id(x)) for x in cross(np.empty(0), probe)
         ]
+        f = list(self._floats)
+        self._start = [s[:n] for s in self._stage], (f[35], f[36], *f[20:26])
         self._m = None
+
+    def start(self, t):
+        out, slot = self._start
+        return (*self._cross(t, out), slot)
+
+    def stage_terms(self, t, h):
+        tau = self.stage_work[0]
+        self._cross(np.add(t, np.multiply(_STAGE_COLUMN, h, out=tau), out=tau), self.stage_work)
 
     def views(self, m):
         if m != self._m:
@@ -540,7 +564,7 @@ class _SweepWork:
                 for i in range(6)
             ]
             self.gathered = f[26:32] + b[:1]
-            self.hi, self.rem, self.err = f[32:]
+            self.hi, self.rem, self.err = f[32:35]
             self.hits, self.ok, self.failed, self.accept, self.mask = b[1:]
             self._m = m
         return self
@@ -730,28 +754,20 @@ def _shard_count(n: int) -> int:
     return max(1, min(cpus, n // SHARD_MIN_ROWS))
 
 
-def _advance_shard(source, xi, theta, tau_targets, cfg):
-    """_advance_batch on one slice of rows, with rhs closures built for it.
-
-    Closures cannot be pickled, so every process builds its own.
-    """
-    rhs = make_batch_rhs(source)
-    stages = make_batch_stages(source)
-    row_rhs = make_row_rhs(source)
-    return _advance_batch(rhs, stages, row_rhs, xi, theta, tau_targets, cfg)
-
-
 def _advance_sharded(source, xi, theta, tau_targets, cfg):
     """_advance_batch over contiguous row slices, one process per slice.
 
     With one shard this is the single call.  Otherwise this process runs
     the first slice and a fork-context pool the others; each target's
     state is joined in row order, so it equals the single call's byte
-    for byte.  A slice that raises, or a worker that dies, raises here.
+    for byte.  The pool is handed the source, not closures of it (those
+    cannot be pickled): each _advance_batch call builds its own rhs
+    closures and work arrays.  A slice that raises, or a worker that
+    dies, raises here.
     """
     shards = _shard_count(len(xi))
     if shards == 1:
-        return _advance_shard(source, xi, theta, tau_targets, cfg)
+        return _advance_batch(source, xi, theta, tau_targets, cfg)
 
     # Imported on first use, so that importing pilotwave does not load the pool.
     import multiprocessing
@@ -764,10 +780,10 @@ def _advance_sharded(source, xi, theta, tau_targets, cfg):
     context = multiprocessing.get_context("fork")
     with ProcessPoolExecutor(shards - 1, mp_context=context) as pool:
         futures = [
-            pool.submit(_advance_shard, source, *rows, tau_targets, cfg)
+            pool.submit(_advance_batch, source, *rows, tau_targets, cfg)
             for rows in slices[1:]
         ]
-        parts = [_advance_shard(source, *slices[0], tau_targets, cfg)]
+        parts = [_advance_batch(source, *slices[0], tau_targets, cfg)]
         parts += [future.result() for future in futures]
     return [
         tuple(np.concatenate(field) for field in zip(*shard_states))

@@ -198,11 +198,13 @@ def test_batch_rhs_matches_scalar_rhs(reference_drive, kind):
     else:
         source = FrozenSource(*FROZEN_PAIR)
     scalar = make_scalar_rhs(source)
-    batch = make_batch_rhs(source)
+    batch = make_batch_rhs()
     xi = np.array([1.0, 3.3, 4.0, 6.6])
     th = np.array([0.5, 1.0, 1.9, 2.4])
     tau = 1234.5
-    dxi_b, dth_b, _, rho_b = batch(tau, xi, th)
+    # A stage argument: the terms at tau and an output slot.
+    arg = (*source.cross_terms(np)(np.full(4, tau)), [np.empty(4) for _ in range(8)])
+    dxi_b, dth_b, _, rho_b = batch(arg, xi, th)
     for i in range(xi.size):
         dxi, dth_, _, rho = scalar(tau, float(xi[i]), float(th[i]))
         assert abs(dxi_b[i] - dxi) < 5e-15

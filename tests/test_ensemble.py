@@ -99,9 +99,13 @@ def test_sample_initial_wraps_arrays():
         assert p.phi == phi[i]
 
 
-def test_sampler_rejects_empty():
+@pytest.mark.parametrize("count", [0, 2.5, True, "3"])
+def test_sampler_rejects_empty(count):
+    # Only a positive int is a count, as for bin_edges.
     with pytest.raises(ParameterError):
-        sample_arrays(0)
+        sample_arrays(count)
+    with pytest.raises(ParameterError):
+        sample_initial(count)
 
 
 # ---------------------------------------------------------------------------
@@ -391,16 +395,17 @@ def test_failed_shard_fails_the_call(monkeypatch, failure, error):
     # parent's half, and leaves no worker behind.
     monkeypatch.setattr(ensemble.os, "sched_getaffinity", lambda pid: {0, 1})
     parent = os.getpid()
-    advance = ensemble._advance_batch
+    make = ensemble.make_batch_rhs
 
     def failing(*args):
         if os.getpid() != parent:
             if failure == "die":
                 os._exit(1)
             raise ZeroDivisionError("shard failed")
-        return advance(*args)
+        return make(*args)
 
-    monkeypatch.setattr(ensemble, "_advance_batch", failing)
+    # Each shard builds its batch rhs from this name in its own process.
+    monkeypatch.setattr(ensemble, "make_batch_rhs", failing)
     points = sample_arrays(2 * SHARD_MIN_ROWS, seed=2)
     # The call takes about a second; a hang ends the test run with exit
     # code 1 instead of stalling it.

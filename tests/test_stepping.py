@@ -26,15 +26,11 @@ from pilotwave import (
     IntegratorConfig,
     ParameterError,
     SpatialPoint,
+    dynamics,
     ensemble,
     integrate,
 )
-from pilotwave.dynamics import (
-    make_batch_rhs,
-    make_batch_stages,
-    make_row_rhs,
-    make_scalar_rhs,
-)
+from pilotwave.dynamics import _numpy_rates, make_batch_rhs, make_row_rhs, make_scalar_rhs
 from pilotwave.ensemble import SHARD_MIN_ROWS, TAIL_ROWS, _advance_batch, sample_arrays
 from pilotwave.stepping import (
     STAGE_C,
@@ -188,15 +184,27 @@ def _same(got, want):
         np.testing.assert_array_equal(g, w)
 
 
-def _advance(source, cloud, targets, cfg):
-    return _advance_batch(
-        make_batch_rhs(source),
-        make_batch_stages(source),
-        make_row_rhs(source),
-        *cloud[:2],
-        targets,
-        cfg,
-    )
+def _rates_at(source):
+    # The batch rates at an array of times, as the operator body dp5_trial takes them.
+    return lambda tau, xi, theta: _numpy_rates(xi, theta, *source.cross_terms(np)(tau))
+
+
+def _record_calls(monkeypatch, name, record):
+    # Swap ensemble's rhs builder `name` for one whose closures call
+    # record(arg, xi, theta) before the rhs itself; _advance_batch looks
+    # the builder up there on each call.
+    make = getattr(dynamics, name)
+
+    def recording_builder(*args):
+        rhs = make(*args)
+
+        def recorded(arg, xi, theta):
+            record(arg, xi, theta)
+            return rhs(arg, xi, theta)
+
+        return recorded
+
+    monkeypatch.setattr(ensemble, name, recording_builder)
 
 
 def _same_bytes(got, want):
@@ -224,30 +232,10 @@ def test_last_stage_is_the_rate_at_the_new_state(reference_drive):
     t = np.linspace(40.0, 41.5, 16)
     h = np.full(16, 0.3)
     for source in _sources(reference_drive):
-        rhs = make_batch_rhs(source)
+        rhs = _rates_at(source)
         k1 = rhs(t, xi, theta)
         xi_new, theta_new, _, k7 = dp5_trial(rhs, t, h, xi, theta, phi, k1)[:4]
-        _same(k7, make_batch_rhs(source)(t + h, xi_new, theta_new))
-
-
-def test_batch_rhs_reads_each_calls_own_times(reference_drive):
-    xi, theta, _ = sample_arrays(16, 4)
-    tau = np.linspace(10.0, 12.0, 16)
-    for source in _sources(reference_drive):
-        rhs = make_batch_rhs(source)
-        rhs(tau, xi, theta)
-        # The same array changed in place: the call reads the new times.
-        tau += 0.25
-        _same(rhs(tau, xi, theta), make_batch_rhs(source)(tau, xi, theta))
-        # Equal times in a new array give the same rates.
-        _same(rhs(tau.copy(), xi, theta), make_batch_rhs(source)(tau, xi, theta))
-        # A call with no rows gives empty rates.
-        empty = make_batch_rhs(source)(np.empty(0), np.empty(0), np.empty(0))
-        assert [np.shape(k) for k in empty] == [(0,), (0,), (), (0,)]
-
-
-def _stage_work(m):
-    return [np.full((5, m), np.nan) for _ in range(6)]
+        _same(k7, _rates_at(source)(t + h, xi_new, theta_new))
 
 
 @pytest.mark.parametrize("kind", ["analytic", "frozen"])
@@ -260,12 +248,15 @@ def test_stage_table_rows_equal_cross_terms_bitwise(reference_drive, kind):
     t = rng.uniform(0.0, 2e4, 3000)
     h = rng.uniform(1e-6, 2.0, 3000)
     cross = source.cross_terms(np)
-    terms = make_batch_stages(source)(t, h, _stage_work(3000))
-    assert len(terms) == 4 and len(STAGE_C) == 5
+    work = ensemble._SweepWork(3000, cross)
+    args = work.views(3000).args
+    work.stage_terms(t, h)
+    assert len(STAGE_C) == 5
     for i, c in enumerate(STAGE_C):
         want = cross(t + c * h)
+        terms = args[i][:-1]
+        assert len(terms) == 4
         for got, w in zip(terms, want):
-            got = got if isinstance(got, float) else got[i]
             assert type(got) is type(w)
             assert np.asarray(got).tobytes() == np.asarray(w).tobytes()
 
@@ -274,14 +265,13 @@ def test_stage_table_rows_equal_cross_terms_bitwise(reference_drive, kind):
 def test_stage_table_follows_each_call_at_a_repeated_row_count(reference_drive, kind):
     # _SweepWork keeps its stage views and the six stage arguments while
     # the row count repeats, and builds them again for a new count.
-    # After each stages call into those views, at other times each,
+    # After each stage_terms call into those views, at other times each,
     # argument i holds the terms at t + STAGE_C[min(i, 4)] h, and its
     # output slot has a pair of its own and six arrays shared by all six.
     source = _source(kind, reference_drive)
     rng = np.random.default_rng(14)
-    stages = make_batch_stages(source)
-    work = ensemble._SweepWork(64, stages)
     cross = source.cross_terms(np)
+    work = ensemble._SweepWork(64, cross)
     last = (None, None)
     for m, start in ((40, 0.0), (40, 900.0), (40, 1.5e4), (24, 1200.0), (24, 30.0), (40, 500.0)):
         t = rng.uniform(start, start + 100.0, m)
@@ -289,7 +279,7 @@ def test_stage_table_follows_each_call_at_a_repeated_row_count(reference_drive, 
         w = work.views(m)
         assert (w.args is last[1]) == (m == last[0])
         last = (m, w.args)
-        stages(t, h, w.stage_work)
+        work.stage_terms(t, h)
         assert len(w.args) == 6
         for i, arg in enumerate(w.args):
             *got_terms, slot = arg
@@ -318,19 +308,19 @@ def test_trial_into_work_arrays_equals_operator_trial_bitwise(reference_drive, k
     theta[[3, 4, 5]] = [math.nan, math.inf, -math.inf]
     t = rng.uniform(0.0, 3000.0, n)
     h = rng.uniform(0.01, 1.0, n)
-    rhs = make_batch_rhs(source)
-    stages = make_batch_stages(source)
-    work = ensemble._SweepWork(n, stages)
+    rates = _rates_at(source)
+    rhs = make_batch_rhs()
+    work = ensemble._SweepWork(n, source.cross_terms(np))
     for a in (work._floats, *work._stage):
         a.fill(np.nan)
     gathered = np.union1d([0, 3, 4], np.nonzero(rng.random(n) < 0.5)[0])
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for rows in (slice(None), gathered):
             ti, hi, a0, a1 = t[rows], h[rows], xi[rows], theta[rows]
-            k1 = rhs(ti, a0, a1)
-            want = dp5_trial(rhs, ti, hi, a0, a1, 0.0, k1)
+            k1 = rates(ti, a0, a1)
+            want = dp5_trial(rates, ti, hi, a0, a1, 0.0, k1)
             w = work.views(len(ti))
-            stages(ti, hi, w.stage_work)
+            work.stage_terms(ti, hi)
             got = dp5_trial_into(rhs, hi, a0, a1, k1[:2], w.args, w.trial)
             # The state and errors are work's arrays, k7's rates its slot's.
             for i, j in ((0, 0), (1, 1), (3, 4), (4, 5)):
@@ -347,6 +337,8 @@ def test_trial_into_work_arrays_equals_operator_trial_bitwise(reference_drive, k
 def test_row_rhs_equals_batch_rhs_bitwise(reference_drive):
     # The row rhs runs the batch rhs's numpy code on floats; np.tan,
     # np.exp and friends round a scalar as they round an array element.
+    # The batch rhs runs as a segment starts, on the terms at the rows'
+    # clocks that _SweepWork.start computes.
     rng = np.random.default_rng(8)
     n = 2000
     tau = rng.uniform(0.0, 9000.0, n)
@@ -360,7 +352,8 @@ def test_row_rhs_equals_batch_rhs_bitwise(reference_drive):
     tau[1::2] = tau[::2]  # repeated times go through the row rhs's memo
     n = len(tau)
     for source in _sources(reference_drive):
-        batch = make_batch_rhs(source)(tau, xi, theta)
+        work = ensemble._SweepWork(n, source.cross_terms(np))
+        batch = make_batch_rhs()(work.start(tau), xi, theta)
         rates = (batch[0], batch[1], batch[3])
         row = make_row_rhs(source)
         for i in range(n):
@@ -390,7 +383,7 @@ def test_scalar_and_batch_drivers_agree(reference_drive, monkeypatch, kind, tail
     tau = 200.0
     cfg = IntegratorConfig(rel_tol=1e-8, output_stride=tau)
     xi, theta, phi = sample_arrays(8, 5)
-    [(bxi, btheta, ok, _, _)] = _advance(source, (xi, theta, phi), (tau,), cfg)
+    [(bxi, btheta, ok, _, _)] = _advance_batch(source, xi, theta, (tau,), cfg)
     assert ok.all()
     for i in range(len(xi)):
         start = SpatialPoint(xi=float(xi[i]), theta=float(theta[i]), phi=float(phi[i]))
@@ -413,7 +406,7 @@ def test_one_pass_through_targets_matches_separate_runs(
     cloud = sample_arrays(8, 5)
 
     def run(targets):
-        return _advance(source, cloud, targets, cfg)
+        return _advance_batch(source, *cloud[:2], targets, cfg)
 
     at_100, at_200 = run((100.0, 200.0))
     [alone_100] = run((100.0,))
@@ -436,7 +429,7 @@ def test_sharded_states_equal_one_batch_call(reference_drive, monkeypatch, kind)
     targets = (0.0, 20.0, 20.0, 40.0)
     assert ensemble._shard_count(len(cloud[0])) == 2
     sharded = ensemble._advance_sharded(source, *cloud[:2], targets, cfg)
-    single = _advance(source, cloud, targets, cfg)
+    single = _advance_batch(source, *cloud[:2], targets, cfg)
     assert len(single) == len(targets)
     _same_bytes(sharded, single)
     assert not single[-1][2].all()
@@ -457,22 +450,13 @@ def test_row_loop_equals_sweep_bitwise(reference_drive, monkeypatch, kind):
     runs = {}
     for tail_rows in (0, TAIL_ROWS, 65):
         monkeypatch.setattr(ensemble, "TAIL_ROWS", tail_rows)
-        batch_rhs = make_batch_rhs(source)
-        row_rhs = make_row_rhs(source)
         batch_rows = []  # rows of each batch rhs call
         row_calls = []
-
-        def counted_batch(tau, xi, theta):
-            batch_rows.append(len(xi))
-            return batch_rhs(tau, xi, theta)
-
-        def counted_row(tau, xi, theta):
-            row_calls.append(tau)
-            return row_rhs(tau, xi, theta)
-
-        runs[tail_rows] = _advance_batch(
-            counted_batch, make_batch_stages(source), counted_row, xi, theta, targets, cfg
+        _record_calls(
+            monkeypatch, "make_batch_rhs", lambda arg, xi, theta: batch_rows.append(len(xi))
         )
+        _record_calls(monkeypatch, "make_row_rhs", lambda tau, xi, theta: row_calls.append(tau))
+        runs[tail_rows] = _advance_batch(source, xi, theta, targets, cfg)
         # Each segment starts with one batch call over the whole cloud;
         # any other batch call is a sweep.
         sweeps = batch_rows[1:]
@@ -501,21 +485,11 @@ def test_whole_array_sweep_equals_row_loop_bitwise(reference_drive, monkeypatch,
     calls = {}  # rows of each batch rhs call
     for tail_rows in (0, 65):
         monkeypatch.setattr(ensemble, "TAIL_ROWS", tail_rows)
-        batch_rhs = make_batch_rhs(source)
         batch_rows = calls[tail_rows] = []
-
-        def counted_batch(tau, xi, theta):
-            batch_rows.append(len(xi))
-            return batch_rhs(tau, xi, theta)
-
-        runs[tail_rows] = _advance_batch(
-            counted_batch,
-            make_batch_stages(source),
-            make_row_rhs(source),
-            *cloud[:2],
-            targets,
-            cfg,
+        _record_calls(
+            monkeypatch, "make_batch_rhs", lambda arg, xi, theta: batch_rows.append(len(xi))
         )
+        runs[tail_rows] = _advance_batch(source, *cloud[:2], targets, cfg)
     # The first call starts the segment and six calls per sweep follow:
     # with the sweep alone, the first ten sweeps see every row and later
     # ones fewer.  The row loop alone calls the batch rhs only to start
@@ -528,29 +502,31 @@ def test_whole_array_sweep_equals_row_loop_bitwise(reference_drive, monkeypatch,
 
 
 @pytest.mark.parametrize("kind", ["analytic", "frozen"])
-def test_advanced_states_share_no_memory(reference_drive, kind):
+def test_advanced_states_share_no_memory(reference_drive, monkeypatch, kind):
     # The sweep writes into work arrays and keeps its state in arrays of
     # its own; the state returned for each target must share memory with
     # none of them, nor with any other target's.  The arrays the rhs is
     # handed, and the output slots in its stage arguments, lead to all
-    # of them.
+    # of them, k1's pair included.  Every batch rhs call, each segment's
+    # start and the six of each trial, takes one form of stage argument:
+    # the four terms and an output slot of eight arrays.
     source = _source(kind, reference_drive)
     cfg = IntegratorConfig(rel_tol=1e-6, abs_tol=1e-9, min_step=0.05)
     xi, theta, _ = sample_arrays(64, 21)
-    batch_rhs = make_batch_rhs(source)
+    targets = (20.0, 20.0, 40.0)
     seen = []
+    calls = []
 
-    def recording(tau, xi, theta):
-        seen.extend([xi, theta])
-        # A stage argument's terms, and its output slot if it has one.
-        for a in tau if type(tau) is tuple else ():
-            seen.extend(a if type(a) is tuple else [a])
-        return batch_rhs(tau, xi, theta)
+    def record(arg, xi, theta):
+        assert type(arg) is tuple and len(arg) == 5
+        *terms, slot = arg
+        assert len(slot) == 8 and all(type(a) is np.ndarray for a in slot)
+        calls.append(len(xi))
+        seen.extend([xi, theta, *terms, *slot])
 
-    states = _advance_batch(
-        recording, make_batch_stages(source), make_row_rhs(source),
-        xi, theta, (20.0, 20.0, 40.0), cfg,
-    )
+    _record_calls(monkeypatch, "make_batch_rhs", record)
+    states = _advance_batch(source, xi, theta, targets, cfg)
+    assert len(calls) > len(targets) and (len(calls) - len(targets)) % 6 == 0
     bases = {}
     for a in seen:
         if not isinstance(a, np.ndarray):
@@ -598,7 +574,7 @@ def test_each_driver_is_close_to_a_tight_reference(reference_drive, monkeypatch,
     drivers = {"scalar": np.array(scalar)}
     for name, tail_rows in (("sweep", 0), ("row loop", len(xi) + 1)):
         monkeypatch.setattr(ensemble, "TAIL_ROWS", tail_rows)
-        [(bxi, btheta, ok, _, _)] = _advance(source, (xi, theta), (tau,), cfg)
+        [(bxi, btheta, ok, _, _)] = _advance_batch(source, xi, theta, (tau,), cfg)
         assert ok.all()
         drivers[name] = np.stack([bxi, btheta], axis=1)
     for name, got in drivers.items():
